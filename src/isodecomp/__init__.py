@@ -21,7 +21,6 @@ from .moments import (
     body_moments,
     facet_integral,
     facet_moment,
-    isotropize_polytope,
     isotropy,
     simplex_monomial_integral,
     triangulate,

@@ -131,7 +131,7 @@ def _lk_report(p: Polytope, precision: int) -> dict:
         "covariance": _matrix_exact(rep.covariance),
         "L_pow_2n": _exact_pair(rep.l_pow_2n, precision),
         "isotropizing_map": [[_jfloat(x) for x in row] for row in rep.isotropizing_map],
-        "isotropy_residual": _jfloat(rep.residual),
+        "isotropizing_residual": _jfloat(rep.residual),
     }
 
 
@@ -219,12 +219,10 @@ def maximizer_report(p: Polytope, generators=None,
     """Aggregate exclusion report: L value, decomposability dimension vs
     threshold, hypergraph components, optional symmetry bound, and a
     constructive second-derivative certificate when one exists."""
-    iso = moments.isotropy(p)
     thr = decomp.threshold_check(p)
-    comp = decomp.hypergraph_components(p)
     report = {
         "dim": p.dim,
-        "L_pow_2n": _exact_pair(iso.l_pow_2n, precision),
+        "L_pow_2n": _exact_pair(moments.l_pow_2n(p), precision),
         "decomposability_dim": thr.dim,
         "threshold_bound": thr.bound,
         "exceeds_threshold": thr.exceeds,
@@ -235,13 +233,13 @@ def maximizer_report(p: Polytope, generators=None,
     certificate = None
     note = None
     try:
-        body = moments.isotropize_polytope(p)
+        # translation keeps the vertex order, so g indexes p's vertices
+        body = polytope.translate(p, [-x for x in moments.body_moments(p).centroid()])
         g = variations.kernel_direction(body)
         if g is not None:
             cert = variations.lk_second_derivative(body, g, fd_step)
             certificate = {
                 "direction": _vec_exact(g),
-                "isotropized_vertices": [[str(x) for x in v] for v in body.vertices],
                 "second_derivative": _jfloat(cert.value),
                 "second_derivative_fd": _jfloat(cert.fd_value),
                 "positive": cert.certificate,
@@ -424,8 +422,8 @@ def _verify_counterexample(record: dict) -> bool:
     def value(body: Polytope) -> Fraction:
         if record["functional"] == "polar":
             centered = polytope.translate(body, [-x for x in moments.body_moments(body).centroid()])
-            return moments.isotropy(polytope.polar(centered)).l_pow_2n
-        return moments.isotropy(body).l_pow_2n
+            return moments.l_pow_2n(polytope.polar(centered))
+        return moments.l_pow_2n(body)
 
     vk, vl, vm = value(k), value(l), value(mid)
     return (str(vk) == record["l2n_k"] and str(vl) == record["l2n_l"]
@@ -542,9 +540,9 @@ def run(config: RunConfig) -> int:
         lines = ["t,vol,vol_float,l_pow_2n,l_pow_2n_float"]
         for i in range(k):
             ti = -t + 2 * t * Fraction(i, k - 1)
-            snap = variations.shadow_polytope(system, ti)
-            md = moments.body_moments(snap)
-            l2n = moments.isotropy(snap).l_pow_2n
+            body_t = variations.shadow_polytope(system, ti)
+            md = moments.body_moments(body_t)
+            l2n = moments.l_pow_2n(body_t)
             lines.append("%s,%s,%.12g,%s,%.12g" % (
                 ti, md.volume, float(md.volume), l2n, float(l2n)))
         _emit(config, "\n".join(lines) + "\n")

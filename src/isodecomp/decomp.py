@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EpsilonTooLarge, GroupTooLarge, NotASymmetry, PreconditionError
+from .errors import GroupTooLarge, NotASymmetry, PreconditionError
 from .exactnum import Matrix, Vec, dot, is_zero_vec, kernel_basis, rat, rref_rank, vec
 from .polytope import Facet, Polytope, polar
 
@@ -212,11 +212,8 @@ def summand_pair(p: Polytope, g: Sequence, eps: Fraction) -> tuple[Polytope, Pol
     eps = rat(eps)
     if is_zero_vec(g):
         raise PreconditionError("speed must be nonzero")
-    try:
-        plus = radial_polytope(p, g, eps)
-        minus = radial_polytope(p, tuple(-x for x in g), eps)
-    except EpsilonTooLarge:
-        raise
+    plus = radial_polytope(p, g, eps)
+    minus = radial_polytope(p, tuple(-x for x in g), eps)
     return polar(plus), polar(minus)
 
 

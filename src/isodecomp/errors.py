@@ -62,10 +62,6 @@ class NotCentered(PreconditionError):
     pass
 
 
-class NotIsotropic(PreconditionError):
-    pass
-
-
 class CaseNotSupported(PreconditionError):
     pass
 

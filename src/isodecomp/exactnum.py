@@ -21,7 +21,7 @@ def rat(x) -> Fraction:
     """Coerce an int, string ("p/q" or "p") or Fraction to Fraction.
 
     Floats are refused: silent binary-to-rational conversion is how
-    exactness is usually lost.  Use :func:`snap` for deliberate rounding.
+    exactness is usually lost.
     """
     if isinstance(x, Fraction):
         return x
@@ -52,19 +52,6 @@ def vscale(c: Fraction, u: Sequence[Fraction]) -> Vec:
 
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
-
-
-def snap(x: float, granularity: Fraction) -> Fraction:
-    """Round a float onto the rational grid `granularity * Z`."""
-    q = Fraction(x) / granularity
-    # round half away from zero, deterministically
-    n = q.numerator
-    d = q.denominator
-    if n >= 0:
-        k = (2 * n + d) // (2 * d)
-    else:
-        k = -((-2 * n + d) // (2 * d))
-    return k * granularity
 
 
 def to_float(x: Fraction) -> float:

@@ -35,11 +35,10 @@ from .exactnum import (
     inverse,
     rat,
     rref_rank,
-    snap,
     vec,
     vsub,
 )
-from .polytope import Facet, Polytope, hull_facets
+from .polytope import Facet, Polytope, _affine_rank, hull_facets
 
 Point = Vec
 Simplex = tuple[Point, ...]
@@ -130,13 +129,6 @@ def simplex_volume(s: Simplex) -> Fraction:
     n = len(s) - 1
     m = Matrix.from_rows([vsub(p, s[0]) for p in s[1:]], len(s[0]))
     return abs(determinant(m)) / factorial(n)
-
-
-def _affine_rank(points: Sequence[Point]) -> int:
-    if len(points) <= 1:
-        return 0
-    return rref_rank(Matrix.from_rows([vsub(p, points[0]) for p in points[1:]],
-                                      len(points[0])))[1]
 
 
 def _triangulate_convex_points(points: Sequence[Point]) -> list[Simplex]:
@@ -355,19 +347,25 @@ class IsotropyReport:
     residual: float
 
 
+def l_pow_2n(p: Polytope) -> Fraction:
+    """Exact L^(2n) = det(covariance) / volume^2."""
+    md = body_moments(p)
+    det_cov = determinant(md.covariance())
+    if det_cov <= 0:
+        raise DegeneratePolytope("covariance is singular")
+    return det_cov / (md.volume * md.volume)
+
+
 def isotropy(p: Polytope) -> IsotropyReport:
     """Centroid, covariance, exact L^(2n), and a floating isotropizing map.
 
-    L^(2n) = det(covariance) / volume^2 is exact.  The map M with
-    A_{M(K - c)} approximately the identity is the float inverse square
-    root of the covariance; the reported residual is max |M A M^T - I|.
+    The map M with A_{M(K - c)} approximately the identity is the float
+    inverse square root of the covariance, rendered by the lk report and
+    used nowhere else; the reported residual is max |M A M^T - I|.
     """
     md = body_moments(p)
     cov = md.covariance()
-    det_cov = determinant(cov)
-    if det_cov <= 0:
-        raise DegeneratePolytope("covariance is singular")
-    l2n = det_cov / (md.volume * md.volume)
+    l2n = l_pow_2n(p)
     a = np.array([[float(x) for x in row] for row in cov.rows], dtype=float)
     evals, evecs = np.linalg.eigh(a)
     m = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
@@ -379,30 +377,6 @@ def isotropy(p: Polytope) -> IsotropyReport:
         isotropizing_map=tuple(tuple(float(x) for x in row) for row in m),
         residual=residual,
     )
-
-
-def l_pow_2n(p: Polytope) -> Fraction:
-    return isotropy(p).l_pow_2n
-
-
-def isotropize_polytope(p: Polytope, granularity: Fraction = Fraction(1, 10 ** 12)) -> Polytope:
-    """Rational body close to the isotropic position of P.
-
-    Applies the float isotropizing map after centering and snaps vertex
-    coordinates to the given rational grid, then rebuilds exact facets.
-    """
-    rep = isotropy(p)
-    c = rep.centroid
-    m = rep.isotropizing_map
-    snapped = []
-    for v in p.vertices:
-        shifted = [float(x - ci) for x, ci in zip(v, c)]
-        image = [sum(m[i][j] * shifted[j] for j in range(p.dim)) for i in range(p.dim)]
-        snapped.append(tuple(snap(x, granularity) for x in image))
-    body = hull_facets(snapped)
-    if len(body.vertices) != len(p.vertices):
-        raise DegeneratePolytope("snapping changed the combinatorics of the body")
-    return body
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ distance of each facet plane from the origin, hence exactly rational:
 
     d/dt integral_{K_t} h dx |_0   = - sum_F (b/|a|) integral_F h f dsigma
     d^2/dt^2 vol |_0               = (n+1) sum_F (b/|a|) integral_F f^2
-    d^2/dt^2 integral |x|^2 |_0    = (n+3) sum_F (b/|a|) integral_F f^2 |x|^2
+    d^2/dt^2 integral x x^T |_0    = (n+3) sum_F (b/|a|) integral_F f^2 x x^T
+
+L^(2n), the radial family and the kernel conditions all commute with
+linear maps, so the certificate works on the body centered at its exact
+centroid and needs no isotropic position.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .errors import (
     EpsilonTooLarge,
     NotCentered,
     NotFullDimensional,
-    NotIsotropic,
     OriginNotInterior,
     PreconditionError,
     StepTooLarge,
@@ -38,7 +41,7 @@ from .moments import (
     MomentData,
     body_moments,
     facet_moment,
-    isotropy,
+    l_pow_2n,
     poly_coord,
     poly_linear,
     poly_mul,
@@ -46,8 +49,6 @@ from .moments import (
 )
 from .polytope import Polytope, hull_facets, validate
 
-ISOTROPY_TOLERANCE = 1e-8
-CENTERING_TOLERANCE = 1e-8
 DEFAULT_FD_STEP = Fraction(1, 1000)
 
 
@@ -78,6 +79,7 @@ class DerivativeReport:
     d_xx: tuple[Vec, ...]
     d_x2: Fraction
     dd_vol: Fraction | None
+    dd_xx: tuple[Vec, ...] | None
     dd_x2: Fraction | None
     method: str
 
@@ -197,28 +199,32 @@ def boundary_first_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
     d_x2 = sum(d_xx[i][i] for i in range(n))
     return DerivativeReport(
         d_vol=d_vol, d_x=tuple(d_x), d_xx=tuple(tuple(r) for r in d_xx),
-        d_x2=d_x2, dd_vol=None, dd_x2=None, method="exact-facet")
+        d_x2=d_x2, dd_vol=None, dd_xx=None, dd_x2=None, method="exact-facet")
 
 
 def boundary_second_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
-    """Adds the exact second derivatives of vol and int |x|^2 at t=0."""
+    """Adds the exact second derivatives of vol and int x x^T at t=0."""
     g = _check_speed(p, g)
     first = boundary_first_derivatives(p, g)
     forms = _facet_linear_forms(p, g)
     n = p.dim
     s_f2 = Fraction(0)
-    s_f2x2 = Fraction(0)
-    norm2 = poly_norm2(n)
+    s_f2xx = [[Fraction(0)] * n for _ in range(n)]
     for fi, c in enumerate(forms):
         fpoly = poly_linear(c)
         if not fpoly:
             continue
         f2 = poly_mul(fpoly, fpoly)
         s_f2 += facet_moment(p, fi, f2)
-        s_f2x2 += facet_moment(p, fi, poly_mul(f2, norm2))
+        for i in range(n):
+            f2xi = poly_mul(f2, poly_coord(i, n))
+            for j in range(i, n):
+                s_f2xx[i][j] += facet_moment(p, fi, poly_mul(f2xi, poly_coord(j, n)))
+    dd_xx = [[(n + 3) * s_f2xx[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     return DerivativeReport(
         d_vol=first.d_vol, d_x=first.d_x, d_xx=first.d_xx, d_x2=first.d_x2,
-        dd_vol=(n + 1) * s_f2, dd_x2=(n + 3) * s_f2x2, method="exact-facet")
+        dd_vol=(n + 1) * s_f2, dd_xx=tuple(tuple(r) for r in dd_xx),
+        dd_x2=sum(dd_xx[i][i] for i in range(n)), method="exact-facet")
 
 
 def gap_integral(p: Polytope, g: Sequence) -> Fraction:
@@ -273,30 +279,33 @@ def kernel_direction(p: Polytope) -> Vec | None:
     return g
 
 
-def isotropy_residual(p: Polytope) -> float:
-    """max-norm distance of the centroid from 0 and covariance from I."""
-    rep = isotropy(p)
-    res = max(abs(float(x)) for x in rep.centroid)
+def _require_centered(p: Polytope) -> None:
+    if not is_zero_vec(body_moments(p).first_moments):
+        raise NotCentered("the centroid of the body is not the origin")
+
+
+def _log_first(p: Polytope, rep: DerivativeReport):
+    """B = M^-1 for M = int x x^T, the product B M', and
+    L'/L = tr(B M') - (n+2) V'/V.
+
+    On a centered body L^(2n) = det(M - m m^T / V) / V^(n+2) with m = int x
+    and m = 0, so to first order it sees only M' and V'.
+    """
+    md = body_moments(p)
     n = p.dim
-    for i in range(n):
-        for j in range(n):
-            target = 1 if i == j else 0
-            res = max(res, abs(float(rep.covariance.rows[i][j]) - target))
-    return res
+    b = inverse(md.second_moments).rows
+    bm1 = [[sum(b[i][k] * rep.d_xx[k][j] for k in range(n)) for j in range(n)]
+           for i in range(n)]
+    log1 = sum(bm1[i][i] for i in range(n)) - (n + 2) * rep.d_vol / md.volume
+    return b, bm1, log1
 
 
 def lk_first_derivative(p: Polytope, g: Sequence) -> Fraction:
-    """d/dt of L^(2n) at t=0 along the radial family, for isotropic P:
-    (1/vol^3) * (d/dt int |x|^2 - (n+2) d/dt vol)."""
-    if isotropy_residual(p) > ISOTROPY_TOLERANCE:
-        raise NotIsotropic("body is not isotropic within %g" % ISOTROPY_TOLERANCE)
-    rep = boundary_first_derivatives(p, g)
-    v = body_moments(p).volume
-    return (rep.d_x2 - (p.dim + 2) * rep.d_vol) / v ** 3
-
-
-def l_pow_2n_exact(p: Polytope) -> Fraction:
-    return isotropy(p).l_pow_2n
+    """d/dt of L^(2n) at t=0 along the radial family, for centered P:
+    L * (tr(B M') - (n+2) V'/V)."""
+    g = _check_speed(p, g)
+    _require_centered(p)
+    return l_pow_2n(p) * _log_first(p, boundary_first_derivatives(p, g))[2]
 
 
 def lk_second_derivative(p: Polytope, g: Sequence,
@@ -304,35 +313,37 @@ def lk_second_derivative(p: Polytope, g: Sequence,
     """d^2/dt^2 of L^(2n) at t=0 along the radial family of g, assembled
     exactly from boundary derivatives, with a finite-difference check.
 
-    Requires P isotropic within tolerance and the variation centered
-    (d/dt int x = 0).  A positive value certified by both routes means P
-    is not a local maximizer along this family.
+    Requires P centered (int x = 0) and the variation centered
+    (d/dt int x = 0); then, with V = vol, M = int x x^T and B = M^-1,
+
+        L''/L = tr(B M'') - tr((B M')^2) - (n+2) V''/V + (n+2) (V'/V)^2 + (L'/L)^2.
+
+    A positive value certified by both routes means P is not a local
+    maximizer along this family.
     """
     g = _check_speed(p, g)
-    if isotropy_residual(p) > ISOTROPY_TOLERANCE:
-        raise NotIsotropic("body is not isotropic within %g" % ISOTROPY_TOLERANCE)
+    _require_centered(p)
     rep = boundary_second_derivatives(p, g)
-    md = body_moments(p)
-    v = md.volume
-    n = p.dim
-    center_scale = max(1.0, float(n * v))
-    if max(abs(float(x)) for x in rep.d_x) > CENTERING_TOLERANCE * center_scale:
+    if not is_zero_vec(rep.d_x):
         raise NotCentered("d/dt of the first moments does not vanish")
-    sq_sum = sum(rep.d_xx[i][j] ** 2 for i in range(n) for j in range(n))
-    bracket = ((n * n + 5 * n + 6) * rep.d_vol ** 2 + rep.d_x2 ** 2
-               - (2 * n + 4) * rep.d_vol * rep.d_x2 - sq_sum)
-    exact_value = bracket / v ** 4 + (rep.dd_x2 - (n + 2) * rep.dd_vol) / v ** 3
+    v = body_moments(p).volume
+    n = p.dim
+    b, bm1, log1 = _log_first(p, rep)
+    log2 = (sum(b[i][k] * rep.dd_xx[k][i] for i in range(n) for k in range(n))
+            - sum(bm1[i][k] * bm1[k][i] for i in range(n) for k in range(n))
+            - (n + 2) * rep.dd_vol / v + (n + 2) * (rep.d_vol / v) ** 2)
+    l0 = l_pow_2n(p)
+    exact_value = l0 * (log2 + log1 ** 2)
 
     eps = eps_bound(p, g)
     h = fd_step if fd_step is not None else DEFAULT_FD_STEP
     h = min(rat(h), eps / 2)
     if h <= 0:
         raise StepTooLarge("no admissible finite-difference step")
-    l0 = l_pow_2n_exact(p)
 
     def second_diff(step: Fraction) -> Fraction:
-        lp = l_pow_2n_exact(radial_polytope(p, g, step))
-        lm = l_pow_2n_exact(radial_polytope(p, g, -step))
+        lp = l_pow_2n(radial_polytope(p, g, step))
+        lm = l_pow_2n(radial_polytope(p, g, -step))
         return (lp - 2 * l0 + lm) / step ** 2
 
     s_h = second_diff(h)
@@ -379,7 +390,7 @@ def finite_difference_oracle(p: Polytope, g: Sequence, quantity,
     def q(t: Fraction) -> Fraction:
         body = radial_polytope(p, g, t)
         md = body_moments(body)
-        return _quantity_value(md, lambda: isotropy(body).l_pow_2n, quantity)
+        return _quantity_value(md, lambda: l_pow_2n(body), quantity)
 
     d_h = (q(h) - q(-h)) / (2 * h)
     d_2h = (q(2 * h) - q(-2 * h)) / (4 * h)
@@ -388,8 +399,8 @@ def finite_difference_oracle(p: Polytope, g: Sequence, quantity,
 
 def finite_difference_report(p: Polytope, g: Sequence,
                              h: Fraction = DEFAULT_FD_STEP) -> DerivativeReport:
-    """All first derivatives (and second, for vol and |x|^2) by central
-    differences of exact moments, sharing the four body evaluations."""
+    """All first derivatives (and second, for vol, x x^T and |x|^2) by
+    central differences of exact moments, sharing the four body evaluations."""
     g = _check_speed(p, g)
     h = rat(h)
     if 2 * h > eps_bound(p, g):
@@ -411,12 +422,15 @@ def finite_difference_report(p: Polytope, g: Sequence,
 
     d_xx = [[first(lambda m, i=i, j=j: m.second_moments.rows[i][j]) for j in range(n)]
             for i in range(n)]
+    dd_xx = [[second(lambda m, i=i, j=j: m.second_moments.rows[i][j]) for j in range(n)]
+             for i in range(n)]
     return DerivativeReport(
         d_vol=first(lambda m: m.volume),
         d_x=tuple(first(lambda m, i=i: m.first_moments[i]) for i in range(n)),
         d_xx=tuple(tuple(r) for r in d_xx),
         d_x2=first(lambda m: m.norm2_integral()),
         dd_vol=second(lambda m: m.volume),
+        dd_xx=tuple(tuple(r) for r in dd_xx),
         dd_x2=second(lambda m: m.norm2_integral()),
         method="finite-difference")
 

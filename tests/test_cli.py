@@ -223,6 +223,45 @@ def test_certify_octagon_structure(body_file, tmp_path, square):
     assert cert is not None and len(cert["direction"]) == 8
 
 
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+PRISM = [v + (s,) for v in HEXAGON for s in (-1, 1)]
+HEXAGON_FRAMES = [[[1, 0], [0, 1]], [[2, 1], [0, 1]], [[1, F(1, 2)], [F(-1, 3), 2]]]
+PRISM_FRAMES = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[2, 1, 0], [0, 1, 1], [1, 0, 3]],
+                [[1, 2, 0], [0, 1, -1], [1, 0, 1]]]
+
+
+def _frame_image(frame, points):
+    return [[str(sum(F(frame[i][j]) * p[j] for j in range(len(p)))) for i in range(len(frame))]
+            for p in points]
+
+
+def _certify_summary(vertices, tmp_path, name):
+    path = tmp_path / ("%s.json" % name)
+    path.write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+    code, report = run_json(["certify", str(path)], tmp_path)
+    assert code == 0
+    cert = report["certificate"]
+    return (report["verdict"], report["L_pow_2n"]["exact"],
+            None if cert is None else cert["positive"])
+
+
+@pytest.mark.parametrize("points, frames", [(HEXAGON, HEXAGON_FRAMES), (PRISM, PRISM_FRAMES)],
+                         ids=["hexagon", "prism"])
+def test_certify_frame_independent(points, frames, tmp_path):
+    """Verdict, L^(2n) and certificate sign do not change under rational
+    linear maps or a relabelling of the input vertices."""
+    inputs = [_frame_image(f, points) for f in frames]
+    inputs.append(list(reversed(inputs[1][1::2] + inputs[1][::2])))
+    summaries = {_certify_summary(v, tmp_path, "frame%d" % k) for k, v in enumerate(inputs)}
+    assert len(summaries) == 1
+    verdict, _, positive = summaries.pop()
+    if len(points[0]) == 3:
+        assert verdict.startswith("not excluded") and positive is None
+    else:
+        assert verdict.startswith("excluded") and positive is True
+
+
 def test_certify_cube_no_kernel_needed(body_file, tmp_path, cube3):
     path = body_file("cube", cube3)
     code, report = run_json(["certify", path], tmp_path)

@@ -12,7 +12,6 @@ from isodecomp.moments import (
     facet_integral,
     facet_moment,
     boundary_moment,
-    isotropize_polytope,
     isotropy,
     poly_const,
     poly_norm2,
@@ -133,18 +132,6 @@ def test_l2n_affine_invariance():
 
 def test_isotropizing_residual_small(standard_triangle):
     assert isotropy(standard_triangle).residual < 1e-10
-
-
-def test_isotropize_polytope(hexagon):
-    body = isotropize_polytope(hexagon)
-    assert len(body.vertices) == 6
-    rep = isotropy(body)
-    assert max(abs(float(x)) for x in rep.centroid) < 1e-11
-    for i in range(2):
-        for j in range(2):
-            target = 1 if i == j else 0
-            assert abs(float(rep.covariance.rows[i][j]) - target) < 1e-11
-    assert rep.l_pow_2n != 0
 
 
 def test_facet_integral_examples(square):

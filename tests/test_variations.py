@@ -10,8 +10,10 @@ from isodecomp.errors import (
     NotCentered,
     StepTooLarge,
 )
-from isodecomp.moments import body_moments, isotropize_polytope, isotropy
-from isodecomp.polytope import gauge_value, scale
+from isodecomp.decomp import facewise_affine_space
+from isodecomp.exactnum import Matrix, kernel_basis
+from isodecomp.moments import body_moments, isotropy
+from isodecomp.polytope import affine_image, gauge_value, scale, translate
 from isodecomp.variations import (
     ShadowSystem,
     boundary_first_derivatives,
@@ -20,7 +22,6 @@ from isodecomp.variations import (
     finite_difference_oracle,
     finite_difference_report,
     gap_integral,
-    isotropy_residual,
     kernel_direction,
     lk_first_derivative,
     lk_second_derivative,
@@ -37,6 +38,16 @@ def close(a, b, tol=1e-6):
 
 def ones(body):
     return (F(1),) * len(body.vertices)
+
+
+def centered(body):
+    return translate(body, [-x for x in body_moments(body).centroid()])
+
+
+@pytest.fixture
+def sheared_hexagon(hexagon):
+    """The hexagon in another rational frame, off the origin until centered."""
+    return centered(affine_image(hexagon, [[2, 1], [0, 1]], (F(1, 3), F(-1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +168,8 @@ def test_fd_oracle_and_report_agree():
         assert close(exact.d_x[i], fd.d_x[i])
         for j in range(2):
             assert close(exact.d_xx[i][j], fd.d_xx[i][j])
+            assert close(exact.dd_xx[i][j], fd.dd_xx[i][j])
+    assert exact.dd_x2 == exact.dd_xx[0][0] + exact.dd_xx[1][1]
     assert close(exact.d_vol, finite_difference_oracle(body, g, "vol", h))
 
 
@@ -168,8 +181,8 @@ def test_fd_step_too_large(square):
 # ---------------------------------------------------------------------------
 # kernel directions and the certificate
 
-def test_kernel_direction_hexagon(hexagon):
-    body = isotropize_polytope(hexagon)
+def test_kernel_direction_hexagon(sheared_hexagon):
+    body = sheared_hexagon
     g = kernel_direction(body)
     assert g is not None and any(x != 0 for x in g)
     rep = boundary_first_derivatives(body, g)
@@ -193,9 +206,8 @@ def test_kernel_direction_simplex_none_permissible():
         assert all(x == 0 for row in rep.d_xx for x in row)
 
 
-def test_certificate_hexagon(hexagon):
-    body = isotropize_polytope(hexagon)
-    assert isotropy_residual(body) < 1e-8
+def test_certificate_hexagon(sheared_hexagon):
+    body = sheared_hexagon
     g = kernel_direction(body)
     cert = lk_second_derivative(body, g)
     assert cert.certificate
@@ -203,19 +215,51 @@ def test_certificate_hexagon(hexagon):
     assert close(cert.value, cert.fd_value, 1e-4)
 
 
-def test_certificate_requires_centering(hexagon):
-    body = isotropize_polytope(hexagon)
+def test_certificate_hexagon_exact_value(hexagon):
+    body = centered(hexagon)
+    cert = lk_second_derivative(body, kernel_direction(body))
+    assert cert.exact_value == F(10, 243)
+
+
+def test_general_formula_off_the_kernel(sheared_hexagon):
+    # speeds that keep the centroid but move int x x^T exercise every
+    # term of the log-det formula, which the kernel directions zero out
+    body = sheared_hexagon
+    basis = facewise_affine_space(body).basis
+    reps = [boundary_first_derivatives(body, b) for b in basis]
+    rows = [[rep.d_x[i] for rep in reps] for i in range(2)]
+    combos = kernel_basis(Matrix.from_rows(rows, len(basis)))
+    moving = 0
+    for coeffs in combos:
+        g = tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(6))
+        if all(x == 0 for row in boundary_first_derivatives(body, g).d_xx for x in row):
+            continue
+        moving += 1
+        cert = lk_second_derivative(body, g)
+        assert close(cert.value, cert.fd_value, 1e-4)
+        assert close(lk_first_derivative(body, g),
+                     finite_difference_oracle(body, g, "l2n", F(1, 1000)))
+    assert moving >= 2
+
+
+def test_certificate_requires_centering(sheared_hexagon):
+    body = sheared_hexagon
     bump = (F(1),) + (F(0),) * 5
     with pytest.raises(NotCentered):
         lk_second_derivative(body, bump)
+    off_center = translate(body, (F(1, 7), F(0)))
+    with pytest.raises(NotCentered):
+        lk_second_derivative(off_center, kernel_direction(off_center))
+    with pytest.raises(NotCentered):
+        lk_first_derivative(off_center, ones(off_center))
 
 
-def test_constant_speed_gives_zero_second_derivative(hexagon):
-    body = isotropize_polytope(hexagon)
+def test_constant_speed_gives_zero_second_derivative(sheared_hexagon):
+    body = sheared_hexagon
     cert = lk_second_derivative(body, ones(body))
-    assert abs(cert.value) < 1e-6
-    assert abs(cert.fd_value) < 1e-6
-    assert abs(float(lk_first_derivative(body, ones(body)))) < 1e-6
+    assert cert.exact_value == 0 and cert.exact_fd == 0
+    assert not cert.certificate
+    assert lk_first_derivative(body, ones(body)) == 0
 
 
 # ---------------------------------------------------------------------------
