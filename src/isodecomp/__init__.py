@@ -23,7 +23,6 @@ from .moments import (
     facet_moment,
     isotropy,
     simplex_monomial_integral,
-    triangulate,
 )
 from .polytope import (
     Facet,

@@ -280,28 +280,6 @@ def render_maximizer_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # fast exact 2-D path for the quasi-convexity search
 
-def _chain_hull(points):
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return None
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def half(seq):
-        out = []
-        for q in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], q) <= 0:
-                out.pop()
-            out.append(q)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    return hull if len(hull) >= 3 else None
-
-
 def _polygon_moments(ccw):
     """Signed origin-fan moments of a polygon given in cyclic order."""
     vol = Fraction(0)
@@ -367,8 +345,8 @@ def _random_polygon(rng: random.Random, cfg: RunConfig):
     kmin, kmax = cfg.vertex_range
     while True:
         k = rng.randrange(kmin, kmax + 1)
-        hull = _chain_hull(_random_points(rng, cfg, k))
-        if hull is not None:
+        hull = polytope.convex_hull_2d(_random_points(rng, cfg, k))
+        if len(hull) >= 3:
             return _polygon_center(hull)
 
 
@@ -378,7 +356,7 @@ def _cut_corner(ccw, idx: int, depth: Fraction):
     a, b, c = ccw[idx], ccw[(idx + 1) % m], ccw[(idx - 1) % m]
     p1 = tuple(a[i] + depth * (b[i] - a[i]) for i in range(2))
     p2 = tuple(a[i] + depth * (c[i] - a[i]) for i in range(2))
-    return _chain_hull([p1, p2] + [ccw[j] for j in range(m) if j != idx])
+    return polytope.convex_hull_2d([p1, p2] + [ccw[j] for j in range(m) if j != idx])
 
 
 def _random_cut_triangle_pair(rng: random.Random, cfg: RunConfig):
@@ -389,8 +367,8 @@ def _random_cut_triangle_pair(rng: random.Random, cfg: RunConfig):
     these pairs carry most of the counterexample mass.
     """
     while True:
-        hull = _chain_hull(_random_points(rng, cfg, 3))
-        if hull is not None and len(hull) == 3:
+        hull = polytope.convex_hull_2d(_random_points(rng, cfg, 3))
+        if len(hull) == 3:
             break
     # one common depth: the polar functional only dips symmetrically
     depth = Fraction(rng.randrange(1, 9), 32)
@@ -409,7 +387,7 @@ def _random_pair(rng: random.Random, cfg: RunConfig):
 
 def _minkowski_midpoint(ccw1, ccw2):
     sums = [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p in ccw1 for q in ccw2]
-    return _chain_hull(sums)
+    return polytope.convex_hull_2d(sums)
 
 
 def _verify_counterexample(record: dict) -> bool:
@@ -607,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand,
                     inputs=[getattr(args, "input")] if hasattr(args, "input") else [])
     cfg.precision = max(DEFAULT_PRECISION_BITS, getattr(args, "precision", DEFAULT_PRECISION_BITS))
@@ -628,16 +606,23 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if hasattr(args, "budget"):
         cfg.budget = max(0, args.budget)
     if getattr(args, "vertices", None):
-        lo, hi = args.vertices.split(":")
-        cfg.vertex_range = (int(lo), int(hi))
+        try:
+            lo, hi = (int(k) for k in args.vertices.split(":"))
+        except ValueError:
+            parser.error("--vertices must read min:max, got %r" % args.vertices)
+        if not 3 <= lo <= hi:
+            parser.error("--vertices needs 3 <= min <= max, got %r" % args.vertices)
+        cfg.vertex_range = (lo, hi)
     if hasattr(args, "denominator_bound"):
+        if args.denominator_bound < 1:
+            parser.error("--denominator-bound must be at least 1")
         cfg.denominator_bound = args.denominator_bound
     return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    parser = build_parser()
+    config = config_from_args(parser.parse_args(argv), parser)
     try:
         return run(config)
     except ValidationError as exc:

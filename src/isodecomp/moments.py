@@ -1,18 +1,28 @@
 """Exact integration over polytopes and their facets.
 
-Body integrals of monomials are sums over a deterministic triangulation,
-each simplex handled by the Dirichlet formula
+Every integral is a sum over simplices whose vertices are vertices of the
+polytope.  The Dirichlet moment of the uniform measure on a d-simplex,
+E[lam^beta] = d! beta! / (d+|beta|)! in barycentric coordinates, summed
+over vertex tuples gives the mean of a product of affine factors
+l_1, ..., l_k over the simplex with vertices w_0, ..., w_d:
 
-    integral over a d-simplex S of  lam^beta  =  d! vol(S) beta! / (d+|beta|)!
+    d!/(d+k)! * sum over set partitions pi of {1..k} of
+        prod_{B in pi} (|B|-1)! * sum_v prod_{t in B} l_t(w_v),
 
-in barycentric coordinates.  Facet integrals carry the surface measure:
-an (n-1)-simplex inside the hyperplane <a, x> = b has
+so a factor enters only through its values at the vertices.  Facets are
+triangulated into (n-1)-simplices; one inside the hyperplane <a, x> = b has
 
     vol_{n-1}(S) = |det[w_1-w_0, ..., w_{n-1}-w_0, a]| / ((n-1)! * |a|),
 
 so every facet integral is (rational) / |a|, a single radical per facet.
 The distance-weighted integral (b/|a|) * integral_F, the quantity every
-boundary-variation formula here consumes, is exactly rational.
+boundary-variation formula here consumes, is exactly rational.  Body
+integrals follow from the facets by Euler's identity: for h homogeneous
+of degree k, x h(x) has divergence (n+k) h, so
+
+    integral_P h dx = sum_F (b/|a|) integral_F h dsigma / (n+k)
+
+with signed offsets b, wherever the origin lies.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,7 +55,7 @@ Simplex = tuple[Point, ...]
 # sparse polynomial: exponent tuple (length n) -> rational coefficient
 Poly = dict[tuple[int, ...], Fraction]
 
-MAX_DEGREE = 4  # heaviest integrand used anywhere: (affine)^2 * |x|^2
+MAX_DEGREE = 4  # heaviest integrand used anywhere: (affine)^2 * x_i x_j
 
 
 # ---------------------------------------------------------------------------
@@ -54,55 +64,12 @@ MAX_DEGREE = 4  # heaviest integrand used anywhere: (affine)^2 * |x|^2
 def poly_const(c, n: int) -> Poly:
     return {tuple([0] * n): rat(c)}
 
-def poly_coord(i: int, n: int) -> Poly:
-    e = [0] * n
-    e[i] = 1
-    return {tuple(e): Fraction(1)}
-
-def poly_linear(coeffs: Sequence[Fraction]) -> Poly:
-    n = len(coeffs)
-    out: Poly = {}
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            e = [0] * n
-            e[i] = 1
-            out[tuple(e)] = rat(c)
-    return out
-
 def poly_norm2(n: int) -> Poly:
     out: Poly = {}
     for i in range(n):
         e = [0] * n
         e[i] = 2
         out[tuple(e)] = Fraction(1)
-    return out
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, Fraction(0)) + c
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-def poly_scale(c: Fraction, p: Poly) -> Poly:
-    c = rat(c)
-    if c == 0:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
     return out
 
 def as_poly(poly, n: int) -> Poly:
@@ -122,14 +89,59 @@ def as_poly(poly, n: int) -> Poly:
     return out
 
 
+def _monomial_factors(columns: Sequence[Sequence[Fraction]], alpha) -> list:
+    """x^alpha as coordinate factors: columns[i] holds x_i at each vertex."""
+    if sum(alpha) > MAX_DEGREE:
+        raise UnsupportedDegree("integrands are capped at degree %d" % MAX_DEGREE)
+    return [columns[i] for i, a in enumerate(alpha) for _ in range(a)]
+
+
 # ---------------------------------------------------------------------------
-# triangulation
+# Dirichlet products
 
-def simplex_volume(s: Simplex) -> Fraction:
-    n = len(s) - 1
-    m = Matrix.from_rows([vsub(p, s[0]) for p in s[1:]], len(s[0]))
-    return abs(determinant(m)) / factorial(n)
+@lru_cache(maxsize=None)
+def _partitions(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Set partitions of range(k), each as (prod_B (|B|-1)!, block bitmasks)."""
+    if k == 0:
+        return ((1, ()),)
+    out = []
+    bit = 1 << (k - 1)
+    for weight, blocks in _partitions(k - 1):
+        for b, block in enumerate(blocks):
+            out.append((weight * block.bit_count(), blocks[:b] + (block | bit,) + blocks[b + 1:]))
+        out.append((weight, blocks + (bit,)))
+    return tuple(out)
 
+
+def _dirichlet_mean(factors: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> Fraction:
+    """Mean of prod_t l_t over the simplex with vertices w_i, i in idx,
+    where factors[t][i] = l_t(w_i) (see the module docstring)."""
+    d, k = len(idx) - 1, len(factors)
+    sums = [Fraction(0)] * (1 << k)  # by block bitmask: sum_i prod_{t in B} l_t(w_i)
+    for i in idx:
+        products = [Fraction(1)] * (1 << k)
+        for block in range(1, 1 << k):
+            low = block & -block
+            value = factors[low.bit_length() - 1][i]
+            products[block] = value if block == low else products[block ^ low] * value
+            sums[block] += products[block]
+    total = sum(weight * prod(sums[b] for b in blocks) for weight, blocks in _partitions(k))
+    return total * Fraction(factorial(d), factorial(d + k))
+
+
+def simplex_monomial_integral(s: Sequence[Sequence], alpha: Sequence[int]) -> Fraction:
+    """Exact integral of x^alpha over a full-dimensional simplex."""
+    pts = tuple(vec(q) for q in s)
+    n = len(pts[0])
+    if len(pts) != n + 1:
+        raise ValueError("need n+1 points for a full-dimensional simplex")
+    factors = _monomial_factors(list(zip(*pts)), [int(a) for a in alpha])
+    vol = abs(determinant(Matrix.from_rows([vsub(q, pts[0]) for q in pts[1:]], n))) / factorial(n)
+    return vol * _dirichlet_mean(factors, range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# facet triangulation
 
 def _triangulate_convex_points(points: Sequence[Point]) -> list[Simplex]:
     """Triangulate the convex hull of points in convex position.
@@ -173,105 +185,71 @@ def _triangulate_convex_points(points: Sequence[Point]) -> list[Simplex]:
     return simplices
 
 
-def triangulate(p: Polytope) -> list[Simplex]:
-    """Positively oriented simplices with disjoint interiors covering P.
+def _facet_index(p: Polytope, facet) -> int:
+    if isinstance(facet, int):
+        return facet
+    if isinstance(facet, Facet):
+        return p.facets.index(facet)
+    raise TypeError("facet must be an index or a Facet")
 
-    Each facet is triangulated by a fan from its lexicographically
-    smallest vertex; the pieces are coned to the vertex barycenter.
-    """
+
+@lru_cache(maxsize=4096)
+def _facet_raw_table(p: Polytope, fi: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+    """The (n-1)-simplices of a triangulation of facet fi, each as
+    (|det[diffs, a]| / (n-1)! = vol_{n-1}(S) * |a|, indices of its vertices in P)."""
+    f = p.facets[fi]
     n = p.dim
-    m = len(p.vertices)
-    bary = tuple(sum(v[i] for v in p.vertices) / m for i in range(n))
-    out: list[Simplex] = []
-    for f in p.facets:
-        fpts = [p.vertices[i] for i in f.vertex_indices]
-        for piece in _triangulate_convex_points(fpts):
-            simplex = list((bary,) + piece)
-            d = determinant(Matrix.from_rows([vsub(q, simplex[0]) for q in simplex[1:]], n))
-            if d == 0:
-                raise DegeneratePolytope("degenerate simplex in triangulation")
-            if d < 0:
-                simplex[-1], simplex[-2] = simplex[-2], simplex[-1]
-            out.append(tuple(simplex))
-    return out
+    index = {v: i for i, v in enumerate(p.vertices)}
+    pieces = []
+    for s in _triangulate_convex_points([p.vertices[i] for i in f.vertex_indices]):
+        rows = [vsub(q, s[0]) for q in s[1:]] + [f.normal]
+        measure = abs(determinant(Matrix.from_rows(rows, n))) / factorial(n - 1)
+        pieces.append((measure, tuple(index[q] for q in s)))
+    return tuple(pieces)
 
 
-# ---------------------------------------------------------------------------
-# Dirichlet integration
-
-LamPoly = dict[tuple[int, ...], Fraction]
-
-
-def _lam_linear_forms(s: Simplex) -> list[LamPoly]:
-    """Coordinate functions x_i as linear forms in barycentric lambda."""
-    m = len(s)
-    forms = []
-    for i in range(len(s[0])):
-        form: LamPoly = {}
-        for k in range(m):
-            if s[k][i] != 0:
-                e = [0] * m
-                e[k] = 1
-                form[tuple(e)] = s[k][i]
-        forms.append(form)
-    return forms
+def _facet_raw(p: Polytope, fi: int, factors) -> Fraction:
+    """|a| * integral_F prod_t l_t dsigma, factors given per vertex of P."""
+    return sum((measure * _dirichlet_mean(factors, idx)
+                for measure, idx in _facet_raw_table(p, fi)), Fraction(0))
 
 
-def _dirichlet_value(lam_poly: LamPoly, d: int) -> Fraction:
-    """integral over the standard d-simplex, normalized so vol = 1."""
-    total = Fraction(0)
-    fd = factorial(d)
-    for beta, c in lam_poly.items():
-        num = fd
-        for bi in beta:
-            num *= factorial(bi)
-        total += c * Fraction(num, factorial(d + sum(beta)))
-    return total
+def facet_moment(p: Polytope, facet, factors: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Distance-weighted facet integral (b/|a|) * integral_F prod_t l_t dsigma.
 
-
-def _monomial_table(s: Simplex, max_degree: int) -> dict[tuple[int, ...], Fraction]:
-    """Normalized integrals of all monomials x^alpha, |alpha| <= max_degree.
-
-    Returned values are integral_S x^alpha / vol(S) for the d-simplex S.
+    Each factor l_t is affine on the facet and given by its values at the
+    vertices of P, factors[t][i] = l_t(vertices[i]): a coordinate column,
+    or a facewise affine speed g, whose speed function equals g at the
+    vertices.  b/|a| is the signed distance from the origin to the facet
+    hyperplane, which cancels the surface-measure radical: the result is
+    rational.
     """
-    n = len(s[0])
-    d = len(s) - 1
-    forms = _lam_linear_forms(s)
-    zero = tuple([0] * n)
-    lam_cache: dict[tuple[int, ...], LamPoly] = {zero: {tuple([0] * len(s)): Fraction(1)}}
-    table: dict[tuple[int, ...], Fraction] = {zero: Fraction(1)}
-    frontier = [zero]
-    for _ in range(max_degree):
-        nxt = []
-        for e in frontier:
-            for i in range(n):
-                e2 = list(e)
-                e2[i] += 1
-                e2t = tuple(e2)
-                if e2t in lam_cache:
-                    continue
-                lp = poly_mul(lam_cache[e], forms[i])  # same dict layout
-                lam_cache[e2t] = lp
-                table[e2t] = _dirichlet_value(lp, d)
-                nxt.append(e2t)
-        frontier = nxt
-    return table
+    fi = _facet_index(p, facet)
+    f = p.facets[fi]
+    return f.offset * _facet_raw(p, fi, factors) / dot(f.normal, f.normal)
 
 
-def simplex_monomial_integral(s: Sequence[Sequence], alpha: Sequence[int]) -> Fraction:
-    """Exact integral of x^alpha over a full-dimensional simplex."""
-    pts = tuple(vec(q) for q in s)
-    n = len(pts[0])
-    if len(pts) != n + 1:
-        raise ValueError("need n+1 points for a full-dimensional simplex")
-    alpha = tuple(int(a) for a in alpha)
-    vol = simplex_volume(pts)
-    forms = _lam_linear_forms(pts)
-    lp: LamPoly = {tuple([0] * (n + 1)): Fraction(1)}
-    for i, ai in enumerate(alpha):
-        for _ in range(ai):
-            lp = poly_mul(lp, forms[i])
-    return vol * _dirichlet_value(lp, n)
+def facet_integral(p: Polytope, facet, poly) -> RadicalValue:
+    """Exact integral of a polynomial over a facet, surface measure.
+
+    The value is rational / |normal|; it is returned as an exact
+    coefficient-times-square-root value (often plainly rational).
+    """
+    fi = _facet_index(p, facet)
+    f = p.facets[fi]
+    columns = list(zip(*p.vertices))
+    raw = sum((c * _facet_raw(p, fi, _monomial_factors(columns, alpha))
+               for alpha, c in as_poly(poly, p.dim).items()), Fraction(0))
+    a2 = dot(f.normal, f.normal)
+    return RadicalValue.of(raw / a2, a2)
+
+
+def boundary_moment(p: Polytope, poly) -> Fraction:
+    """Sum of distance-weighted facet integrals of a polynomial over all facets."""
+    columns = list(zip(*p.vertices))
+    return sum((c * facet_moment(p, fi, _monomial_factors(columns, alpha))
+                for alpha, c in as_poly(poly, p.dim).items()
+                for fi in range(len(p.facets))), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +289,24 @@ def _leading_minors_positive(m: Matrix) -> bool:
 
 @lru_cache(maxsize=256)
 def body_moments(p: Polytope) -> MomentData:
-    """Exact volume, integral of x and integral of x x^T over P."""
+    """Exact volume, integral of x and integral of x x^T over P, from the
+    facets by Euler's identity."""
     n = p.dim
-    vol = Fraction(0)
-    first = [Fraction(0)] * n
-    second = [[Fraction(0)] * n for _ in range(n)]
-    for s in triangulate(p):
-        v = simplex_volume(s)
-        vol += v
-        col = [sum(q[i] for q in s) for i in range(n)]
-        for i in range(n):
-            first[i] += v * col[i] / (n + 1)
-        w = v / ((n + 1) * (n + 2))
-        for i in range(n):
-            for j in range(i, n):
-                val = w * (sum(q[i] * q[j] for q in s) + col[i] * col[j])
-                second[i][j] += val
-    for i in range(n):
-        for j in range(i):
-            second[i][j] = second[j][i]
+    x = list(zip(*p.vertices))
+
+    def integral(factors) -> Fraction:
+        return sum((facet_moment(p, fi, factors) for fi in range(len(p.facets))),
+                   Fraction(0)) / (n + len(factors))
+
+    vol = integral([])
     if vol <= 0:
         raise DegeneratePolytope("nonpositive volume")
-    md = MomentData(vol, tuple(first), Matrix.from_rows(second))
+    first = tuple(integral([x[i]]) for i in range(n))
+    second = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            second[i][j] = second[j][i] = integral([x[i], x[j]])
+    md = MomentData(vol, first, Matrix.from_rows(second))
     if not _leading_minors_positive(md.second_moments):
         raise DegeneratePolytope("second moment matrix is not positive definite")
     return md
@@ -377,80 +351,3 @@ def isotropy(p: Polytope) -> IsotropyReport:
         isotropizing_map=tuple(tuple(float(x) for x in row) for row in m),
         residual=residual,
     )
-
-
-# ---------------------------------------------------------------------------
-# facet integrals
-
-def _facet_index(p: Polytope, facet) -> int:
-    if isinstance(facet, int):
-        return facet
-    if isinstance(facet, Facet):
-        return p.facets.index(facet)
-    raise TypeError("facet must be an index or a Facet")
-
-
-@lru_cache(maxsize=4096)
-def _facet_raw_table(p: Polytope, fi: int) -> dict[tuple[int, ...], Fraction]:
-    """RAW(alpha) with integral_F x^alpha dsigma = RAW(alpha) / |a|.
-
-    RAW is a sum over facet simplices of |det[diffs, a]| / (n-1)! times
-    the normalized Dirichlet monomial value.
-    """
-    f = p.facets[fi]
-    n = p.dim
-    pts = [p.vertices[i] for i in f.vertex_indices]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for s in _triangulate_convex_points(pts):
-        rows = [vsub(q, s[0]) for q in s[1:]] + [f.normal]
-        det = abs(determinant(Matrix.from_rows(rows, n)))
-        measure = det / factorial(n - 1)  # = vol_{n-1}(S) * |a|
-        for alpha, val in _monomial_table(s, MAX_DEGREE).items():
-            out[alpha] = out.get(alpha, Fraction(0)) + measure * val
-    return out
-
-
-def _raw_combination(p: Polytope, fi: int, poly: Poly) -> Fraction:
-    table = _facet_raw_table(p, fi)
-    total = Fraction(0)
-    for alpha, c in poly.items():
-        if sum(alpha) > MAX_DEGREE:
-            raise UnsupportedDegree("facet integrands are capped at degree %d" % MAX_DEGREE)
-        total += c * table[alpha]
-    return total
-
-
-def facet_integral(p: Polytope, facet, poly) -> RadicalValue:
-    """Exact integral of a polynomial over a facet, surface measure.
-
-    The value is rational / |normal|; it is returned as an exact
-    coefficient-times-square-root value (often plainly rational).
-    """
-    fi = _facet_index(p, facet)
-    f = p.facets[fi]
-    poly = as_poly(poly, p.dim)
-    raw = _raw_combination(p, fi, poly)
-    a2 = dot(f.normal, f.normal)
-    return RadicalValue.of(raw / a2, a2)
-
-
-def facet_moment(p: Polytope, facet, poly) -> Fraction:
-    """Distance-weighted facet integral: (b/|a|) * integral_F poly dsigma.
-
-    b/|a| is the signed distance from the origin to the facet hyperplane,
-    which cancels the surface-measure radical: the result is rational.
-    This is the facet quantity appearing in all boundary variations and
-    in the divergence identities sum_F (b/|a|) area(F) = n vol(P).
-    """
-    fi = _facet_index(p, facet)
-    f = p.facets[fi]
-    poly = as_poly(poly, p.dim)
-    raw = _raw_combination(p, fi, poly)
-    a2 = dot(f.normal, f.normal)
-    return f.offset * raw / a2
-
-
-def boundary_moment(p: Polytope, poly) -> Fraction:
-    """Sum of distance-weighted facet integrals over all facets."""
-    poly = as_poly(poly, p.dim)
-    return sum(facet_moment(p, fi, poly) for fi in range(len(p.facets)))

@@ -24,6 +24,7 @@ from .errors import (
     NotFullDimensional,
     OriginNotInterior,
     SingularMatrix,
+    ValidationError,
 )
 from .exactnum import Matrix, Vec, dot, inverse, rat, rref_rank, vec, vsub
 
@@ -183,7 +184,10 @@ def _hull_1d(points: list[Point]) -> Polytope:
     return _canonical(1, verts, facets)
 
 
-def _hull_2d(points: list[Point]) -> Polytope:
+def convex_hull_2d(points: Iterable[Point]) -> list[Point]:
+    """Vertices of the convex hull of planar points by the monotone chain,
+    counterclockwise from the lexicographically smallest; fewer than
+    three when the points are collinear."""
     pts = sorted(set(points))
 
     def cross(o, a, b):
@@ -197,9 +201,11 @@ def _hull_2d(points: list[Point]) -> Polytope:
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]  # counterclockwise
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
+
+
+def _hull_2d(points: list[Point]) -> Polytope:
+    hull = convex_hull_2d(points)
     if len(hull) < 3:
         raise NotFullDimensional("points are collinear")
     index = {p: i for i, p in enumerate(hull)}
@@ -389,13 +395,14 @@ def to_json_dict(p: Polytope) -> dict:
 
 
 def from_json_dict(data: dict) -> Polytope:
-    verts = [[rat(x) for x in v] for v in data["vertices"]]
-    if data.get("facets"):
+    try:
+        verts = [[rat(x) for x in v] for v in data["vertices"]]
         facets = [(vec(f["normal"]), rat(f["offset"]), tuple(f["vertices"]))
-                  for f in data["facets"]]
-        body = validate(verts, facets)
-    else:
-        body = hull_facets(verts)
+                  for f in data.get("facets") or ()]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError("malformed polytope JSON (%s: %s)"
+                              % (type(exc).__name__, exc)) from None
+    body = validate(verts, facets) if facets else hull_facets(verts)
     if "dim" in data and body.dim != data["dim"]:
         raise DimensionMismatch("declared dim %s != coordinate dim %d" % (data["dim"], body.dim))
     return body

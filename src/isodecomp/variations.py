@@ -37,16 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .exactnum import Matrix, Vec, dot, inverse, is_zero_vec, kernel_basis, rat, rref_rank, solve, vec
-from .moments import (
-    MomentData,
-    body_moments,
-    facet_moment,
-    l_pow_2n,
-    poly_coord,
-    poly_linear,
-    poly_mul,
-    poly_norm2,
-)
+from .moments import MomentData, body_moments, facet_moment, l_pow_2n
 from .polytope import Polytope, hull_facets, validate
 
 DEFAULT_FD_STEP = Fraction(1, 1000)
@@ -180,19 +171,18 @@ def boundary_first_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
         raise OriginNotInterior("boundary derivatives need the origin inside")
     forms = _facet_linear_forms(p, g)
     n = p.dim
+    x = list(zip(*p.vertices))
     d_vol = Fraction(0)
     d_x = [Fraction(0)] * n
     d_xx = [[Fraction(0)] * n for _ in range(n)]
     for fi, c in enumerate(forms):
-        fpoly = poly_linear(c)
-        if not fpoly:
+        if is_zero_vec(c):
             continue
-        d_vol -= facet_moment(p, fi, fpoly)
+        d_vol -= facet_moment(p, fi, [g])
         for i in range(n):
-            d_x[i] -= facet_moment(p, fi, poly_mul(poly_coord(i, n), fpoly))
+            d_x[i] -= facet_moment(p, fi, [x[i], g])
             for j in range(i, n):
-                xij = poly_mul(poly_coord(i, n), poly_coord(j, n))
-                d_xx[i][j] -= facet_moment(p, fi, poly_mul(xij, fpoly))
+                d_xx[i][j] -= facet_moment(p, fi, [x[i], x[j], g])
     for i in range(n):
         for j in range(i):
             d_xx[i][j] = d_xx[j][i]
@@ -208,18 +198,16 @@ def boundary_second_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
     first = boundary_first_derivatives(p, g)
     forms = _facet_linear_forms(p, g)
     n = p.dim
+    x = list(zip(*p.vertices))
     s_f2 = Fraction(0)
     s_f2xx = [[Fraction(0)] * n for _ in range(n)]
     for fi, c in enumerate(forms):
-        fpoly = poly_linear(c)
-        if not fpoly:
+        if is_zero_vec(c):
             continue
-        f2 = poly_mul(fpoly, fpoly)
-        s_f2 += facet_moment(p, fi, f2)
+        s_f2 += facet_moment(p, fi, [g, g])
         for i in range(n):
-            f2xi = poly_mul(f2, poly_coord(i, n))
             for j in range(i, n):
-                s_f2xx[i][j] += facet_moment(p, fi, poly_mul(f2xi, poly_coord(j, n)))
+                s_f2xx[i][j] += facet_moment(p, fi, [g, g, x[i], x[j]])
     dd_xx = [[(n + 3) * s_f2xx[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     return DerivativeReport(
         d_vol=first.d_vol, d_x=first.d_x, d_xx=first.d_xx, d_x2=first.d_x2,
@@ -239,15 +227,13 @@ def gap_integral(p: Polytope, g: Sequence) -> Fraction:
         raise OriginNotInterior("the gap integral needs the origin inside")
     forms = _facet_linear_forms(p, g)
     n = p.dim
+    x = list(zip(*p.vertices))
     total = Fraction(0)
-    norm2 = poly_norm2(n)
     for fi, c in enumerate(forms):
-        fpoly = poly_linear(c)
-        if not fpoly:
+        if is_zero_vec(c):
             continue
-        f2 = poly_mul(fpoly, fpoly)
-        total += facet_moment(p, fi, poly_mul(f2, norm2))
-        total -= (n + 2) * facet_moment(p, fi, f2)
+        total += sum(facet_moment(p, fi, [g, g, x[i], x[i]]) for i in range(n))
+        total -= (n + 2) * facet_moment(p, fi, [g, g])
     return total
 
 
@@ -346,9 +332,7 @@ def lk_second_derivative(p: Polytope, g: Sequence,
         lm = l_pow_2n(radial_polytope(p, g, -step))
         return (lp - 2 * l0 + lm) / step ** 2
 
-    s_h = second_diff(h)
-    s_2h = second_diff(2 * h) if 2 * h <= eps else None
-    exact_fd = (4 * s_h - s_2h) / 3 if s_2h is not None else s_h
+    exact_fd = (4 * second_diff(h) - second_diff(2 * h)) / 3
     certificate = exact_value > 0 and exact_fd > 0
     return SecondDerivativeCertificate(
         value=float(exact_value), fd_value=float(exact_fd),

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from isodecomp.decomp import facewise_affine_space
 from isodecomp.errors import NotFullDimensional
-from isodecomp.exactnum import dot
-from isodecomp.moments import body_moments
+from isodecomp.exactnum import Matrix, determinant, dot, rref_rank, vsub
+from isodecomp.moments import MomentData, body_moments
 from isodecomp.polytope import Polytope, hull_facets, translate
 from isodecomp.variations import eps_bound
 
@@ -62,6 +63,52 @@ def random_polytope(rng: random.Random, n: int, npts: int, bound: int = 4,
             return body
         c = body_moments(body).centroid()
         return translate(body, [-x for x in c])
+
+
+def _face_simplices(body: Polytope, face: frozenset, k: int) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a k-face (a set of vertex indices): its
+    smallest vertex coned over the triangulated (k-1)-faces missing it.
+    Those are the intersections with facets of the body that have
+    affine rank k-1."""
+    if len(face) == k + 1:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    subfaces = set()
+    for f in body.facets:
+        sub = face & set(f.vertex_indices)
+        pts = [body.vertices[i] for i in sorted(sub)]
+        if (apex not in sub and len(pts) >= k
+                and rref_rank(Matrix.from_rows([vsub(q, pts[0]) for q in pts[1:]]))[1] == k - 1):
+            subfaces.add(frozenset(sub))
+    return [(apex,) + s for sub in subfaces for s in _face_simplices(body, sub, k - 1)]
+
+
+def reference_moments(body: Polytope) -> MomentData:
+    """Test oracle for body_moments: each facet's pulling triangulation
+    coned to the vertex barycenter, with the closed form of a simplex S
+    whose vertex coordinate sums are c:
+
+        int_S x = vol(S) c / (n+1),
+        int_S x x^T = vol(S) (sum_v v v^T + c c^T) / ((n+1)(n+2)).
+    """
+    n = body.dim
+    m = len(body.vertices)
+    bary = tuple(sum(v[i] for v in body.vertices) / m for i in range(n))
+    vol = Fraction(0)
+    first = [Fraction(0)] * n
+    second = [[Fraction(0)] * n for _ in range(n)]
+    for f in body.facets:
+        for piece in _face_simplices(body, frozenset(f.vertex_indices), n - 1):
+            s = [bary] + [body.vertices[i] for i in piece]
+            v = abs(determinant(Matrix.from_rows([vsub(q, bary) for q in s[1:]]))) / factorial(n)
+            col = [sum(q[i] for q in s) for i in range(n)]
+            vol += v
+            for i in range(n):
+                first[i] += v * col[i] / (n + 1)
+                for j in range(n):
+                    second[i][j] += (v * (sum(q[i] * q[j] for q in s) + col[i] * col[j])
+                                     / ((n + 1) * (n + 2)))
+    return MomentData(vol, tuple(first), Matrix.from_rows(second))
 
 
 def random_speed(rng: random.Random, body: Polytope, min_eps: Fraction | None = None):

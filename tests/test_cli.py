@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import isodecomp
 import support
 from isodecomp import polytope
 from isodecomp.cli import (
@@ -156,6 +160,38 @@ def test_exit_code_missing_file():
     assert main(["lk", "/nonexistent/file.json"]) == 2
 
 
+def run_cli(argv, tmp_path):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(isodecomp.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "isodecomp.cli"] + argv, cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("data", [
+    {"vertices": [[1.5, "0"], ["1", "0"], ["0", "1"]]},
+    {"vertices": [["x", "0"], ["1", "0"], ["0", "1"]]},
+    {"dim": 2},
+], ids=["float", "letter", "no-vertices"])
+def test_malformed_body_exits_2(data, tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    code, err = run_cli(["lk", "bad.json"], tmp_path)
+    assert code == 2
+    assert "validation error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--vertices", "2:2"],
+    ["--vertices", "8:3"],
+    ["--vertices", "3"],
+    ["--denominator-bound", "0"],
+], ids=["two-vertices", "reversed", "no-colon", "zero-bound"])
+def test_bad_search_flags_exit_2(flags, tmp_path):
+    code, err = run_cli(["quasiconvex-search", "--budget", "1"] + flags, tmp_path)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_quasiconvex_search_determinism(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -183,9 +219,9 @@ def test_quasiconvex_budget_zero_empty():
 
 def test_quasiconvex_identical_bodies_never_counterexample():
     # midpoint of (K, K) is K exactly: the margin is zero, never strict
-    from isodecomp.cli import _chain_hull, _minkowski_midpoint, _polygon_center, _polygon_l2n
+    from isodecomp.cli import _minkowski_midpoint, _polygon_center, _polygon_l2n
 
-    k = _polygon_center(_chain_hull(
+    k = _polygon_center(polytope.convex_hull_2d(
         [(F(2), F(-1)), (F(-1), F(2)), (F(-1), F(-1)), (F(1), F(1))]))
     mid = _minkowski_midpoint(k, k)
     assert _polygon_l2n(mid) == _polygon_l2n(k)

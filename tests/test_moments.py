@@ -16,54 +16,35 @@ from isodecomp.moments import (
     poly_const,
     poly_norm2,
     simplex_monomial_integral,
-    simplex_volume,
-    triangulate,
 )
-from isodecomp.polytope import affine_image, scale
+from isodecomp.polytope import affine_image, scale, translate
 
 UNIT_SIMPLEX_2D = [(0, 0), (1, 0), (0, 1)]
-
-
-def test_triangulate_simplex_is_itself():
-    body = support.centered_simplex(3)
-    pieces = triangulate(body)
-    assert len(pieces) == 4  # one per facet, coned to the barycenter
-    assert sum(simplex_volume(s) for s in pieces) == body_moments(body).volume
-
-
-def test_triangulate_square_barycenter_fan(square):
-    pieces = triangulate(square)
-    assert len(pieces) == 4
-    assert sum(simplex_volume(s) for s in pieces) == 4
-
-
-def test_triangulate_cube_volume(cube3):
-    pieces = triangulate(cube3)
-    assert sum(simplex_volume(s) for s in pieces) == 8
-    # positive orientation of every piece
-    for s in pieces:
-        rows = [[q[i] - s[0][i] for i in range(3)] for q in s[1:]]
-        assert determinant(Matrix.from_rows(rows)) > 0
-
-
-def test_triangulate_random_disjoint_volumes():
-    rng = random.Random(2)
-    for n, npts in ((2, 8), (3, 7)):
-        body = support.random_polytope(rng, n, npts)
-        pieces = triangulate(body)
-        assert sum(simplex_volume(s) for s in pieces) == body_moments(body).volume
+UNIT_SIMPLEX_3D = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 # hand-computed by iterated integration over {x >= 0, y >= 0, x + y <= 1}:
 # int 1 = 1/2, int x^2 = int_0^1 x^2 (1-x) dx = 1/12,
-# int x y = int_0^1 x (1-x)^2 / 2 dx = 1/24
+# int x y = int_0^1 x (1-x)^2 / 2 dx = 1/24; the degree 3 and 4 values and
+# the 3-D ones over the unit simplex follow from alpha! / (|alpha| + n)!
 @pytest.mark.parametrize("alpha,expected", [
     ((0, 0), F(1, 2)),
     ((2, 0), F(1, 12)),
     ((1, 1), F(1, 24)),
+    ((2, 1), F(1, 60)),
+    ((2, 2), F(1, 180)),
+    ((4, 0), F(1, 30)),
+    ((1, 1, 1), F(1, 720)),
+    ((2, 1, 1), F(1, 2520)),
 ])
 def test_simplex_monomial_integral(alpha, expected):
-    assert simplex_monomial_integral(UNIT_SIMPLEX_2D, alpha) == expected
+    simplex = UNIT_SIMPLEX_2D if len(alpha) == 2 else UNIT_SIMPLEX_3D
+    assert simplex_monomial_integral(simplex, alpha) == expected
+
+
+def test_simplex_monomial_degree_cap():
+    with pytest.raises(UnsupportedDegree):
+        simplex_monomial_integral(UNIT_SIMPLEX_2D, (3, 2))
 
 
 def test_simplex_monomial_matches_body_moments(standard_triangle):
@@ -79,6 +60,19 @@ def test_body_moments_triangle(standard_triangle):
     assert md.volume == F(1, 2)
     assert md.first_moments == (F(1, 6), F(1, 6))
     assert md.second_moments.rows == ((F(1, 12), F(1, 24)), (F(1, 24), F(1, 12)))
+
+
+def test_body_moments_match_reference(square, cube3, octahedron, hexagon, triangle_o,
+                                      standard_triangle):
+    """The facet route equals the barycenter cone over an independent
+    facet triangulation, wherever the origin lies."""
+    rng = random.Random(23)
+    bodies = [square, cube3, octahedron, hexagon, triangle_o, standard_triangle]
+    for n, npts in ((2, 7), (3, 7), (4, 7)):
+        body = support.random_polytope(rng, n, npts, centered=False)
+        bodies += [body, translate(body, [F(7, 3)] * n), support.random_polytope(rng, n, npts)]
+    for body in bodies:
+        assert body_moments(body) == support.reference_moments(body), body
 
 
 def test_body_moments_cube(cube3):
@@ -167,18 +161,8 @@ def test_divergence_identities_on_fixtures(square, cube3, octahedron, hexagon, t
 
 
 def test_cube_weighted_area_sum(cube3):
-    total = sum(facet_moment(cube3, i, poly_const(1, 3)) for i in range(6))
+    total = sum(facet_moment(cube3, i, []) for i in range(6))
     assert total == 24  # n * vol = 3 * 8
-
-
-def test_moment_sums_order_independent(cube3):
-    pieces = triangulate(cube3)
-    rng = random.Random(1)
-    reference = sum(simplex_volume(s) for s in pieces)
-    for _ in range(3):
-        shuffled = pieces[:]
-        rng.shuffle(shuffled)
-        assert sum(simplex_volume(s) for s in shuffled) == reference
 
 
 def test_monte_carlo_sanity():
@@ -214,4 +198,4 @@ def test_second_moments_positive_definite_guard():
 def test_facet_integral_accepts_facet_object(square):
     f = next(f for f in square.facets if f.normal == (F(1), F(0)))
     assert facet_integral(square, f, poly_const(1, 2)).exact() == 2
-    assert facet_moment(square, f, poly_const(1, 2)) == 2
+    assert facet_moment(square, f, []) == 2
