@@ -2,9 +2,10 @@
 quasi-convexity counterexample search.
 
 Exit codes: 0 success, 2 polytope validation failure, 3 violated
-operation precondition.  All reports carry exact values as "p/q" strings
-next to 12-significant-digit float renderings; identical configuration
-(including seed) produces byte-identical output.
+operation precondition, 4 failed internal cross-check.  All reports carry
+exact values as "p/q" strings next to 12-significant-digit float
+renderings; identical configuration (including seed) produces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import decomp, moments, polytope, variations
-from .errors import IsodecompError, PreconditionError, ValidationError
+from .errors import InternalCheckFailed, PreconditionError, ValidationError
 from .exactnum import Matrix, rat, to_decimal_str, vec
 from .polytope import Polytope
 
@@ -246,7 +248,7 @@ def maximizer_report(p: Polytope, generators=None,
             }
         else:
             note = "no nonzero direction kills all moment derivatives"
-    except IsodecompError as exc:
+    except (ValidationError, PreconditionError) as exc:
         note = "certificate pipeline unavailable: %s" % exc
     report["certificate"] = certificate
     if note:
@@ -280,37 +282,49 @@ def render_maximizer_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # fast exact 2-D path for the quasi-convexity search
 
-def _polygon_moments(ccw):
-    """Signed origin-fan moments of a polygon given in cyclic order."""
-    vol = Fraction(0)
-    m1 = [Fraction(0), Fraction(0)]
-    m2 = [[Fraction(0)] * 2 for _ in range(2)]
-    m = len(ccw)
-    for k in range(m):
-        p, q = ccw[k], ccw[(k + 1) % m]
-        det = p[0] * q[1] - p[1] * q[0]
-        vol += det / 2
-        for i in range(2):
-            m1[i] += det * (p[i] + q[i]) / 6
-            for j in range(i, 2):
-                m2[i][j] += det * (2 * p[i] * p[j] + 2 * q[i] * q[j]
-                                   + p[i] * q[j] + p[j] * q[i]) / 24
-    m2[1][0] = m2[0][1]
-    return vol, m1, m2
+def _polygon_sums(ccw):
+    """Integer shoelace sums of a polygon given in cyclic order.
+
+    The vertices are scaled by the LCM `d` of their coordinate
+    denominators to integer points; over the edges (p, q) of the scaled
+    polygon, with det = p0 q1 - p1 q0, the sums are a = sum det,
+    b_i = sum det (p_i + q_i) and c_ij = sum det (2 p_i p_j + 2 q_i q_j
+    + p_i q_j + p_j q_i).  The signed origin-fan moments of the scaled
+    polygon are vol = a/2, int x_i = b_i/6 and int x_i x_j = c_ij/24.
+    Returns (d, a, b0, b1, c00, c01, c11).
+    """
+    d = lcm(*(x.denominator for p in ccw for x in p))
+    pts = [(p[0].numerator * (d // p[0].denominator), p[1].numerator * (d // p[1].denominator))
+           for p in ccw]
+    a = b0 = b1 = c00 = c01 = c11 = 0
+    px, py = pts[-1]
+    for qx, qy in pts:
+        det = px * qy - py * qx
+        a += det
+        b0 += det * (px + qx)
+        b1 += det * (py + qy)
+        c00 += det * (px * px + px * qx + qx * qx)
+        c01 += det * (2 * px * py + 2 * qx * qy + px * qy + py * qx)
+        c11 += det * (py * py + py * qy + qy * qy)
+        px, py = qx, qy
+    return d, a, b0, b1, 2 * c00, c01, 2 * c11
 
 
 def _polygon_l2n(ccw):
-    vol, m1, m2 = _polygon_moments(ccw)
-    c = [m1[0] / vol, m1[1] / vol]
-    a00 = m2[0][0] / vol - c[0] * c[0]
-    a11 = m2[1][1] / vol - c[1] * c[1]
-    a01 = m2[0][1] / vol - c[0] * c[1]
-    return (a00 * a11 - a01 * a01) / (vol * vol)
+    """L^(2n) = det(cov)/vol^2, which does not change under scaling: with
+    the sums of `_polygon_sums`, cov_ij = (3 a c_ij - 4 b_i b_j)/(36 a^2)
+    and vol = a/2 in the scaled frame."""
+    _, a, b0, b1, c00, c01, c11 = _polygon_sums(ccw)
+    s00 = 3 * a * c00 - 4 * b0 * b0
+    s11 = 3 * a * c11 - 4 * b1 * b1
+    s01 = 3 * a * c01 - 4 * b0 * b1
+    return Fraction(s00 * s11 - s01 * s01, 324 * a ** 6)
 
 
 def _polygon_center(ccw):
-    vol, m1, _ = _polygon_moments(ccw)
-    c = (m1[0] / vol, m1[1] / vol)
+    """Translate the polygon by minus its centroid c_i = b_i/(3 a d)."""
+    d, a, b0, b1, *_ = _polygon_sums(ccw)
+    c = (Fraction(b0, 3 * a * d), Fraction(b1, 3 * a * d))
     return [(p[0] - c[0], p[1] - c[1]) for p in ccw]
 
 
@@ -386,8 +400,42 @@ def _random_pair(rng: random.Random, cfg: RunConfig):
 
 
 def _minkowski_midpoint(ccw1, ccw2):
-    sums = [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p in ccw1 for q in ccw2]
-    return polytope.convex_hull_2d(sums)
+    """Minkowski midpoint (K + L)/2 of two polygons by merging their edge
+    sequences in O(m + k).
+
+    Precondition: each polygon is counterclockwise, strictly convex and
+    starts at its lexicographically smallest vertex, as every translate
+    of `convex_hull_2d` output does.  Then the edge directions of each
+    increase in angle within (-pi/2, 3pi/2], two current edges are less
+    than pi apart, and the sign of their cross product orders them; a
+    zero cross product means parallel edges, which are added into one.
+    The result has the same form, starting at the sum of the two first
+    vertices, with no zero-length edge: it equals `convex_hull_2d` of all
+    pairwise midpoints.
+    """
+    def edges(ccw):
+        return [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ccw, ccw[1:] + ccw[:1])]
+
+    e1, e2 = edges(ccw1), edges(ccw2)
+    m, k = len(e1), len(e2)
+    x, y = ccw1[0][0] + ccw2[0][0], ccw1[0][1] + ccw2[0][1]
+    out = []
+    i = j = 0
+    while i < m or j < k:
+        out.append((x / 2, y / 2))
+        if i == m:
+            cross = -1
+        elif j == k:
+            cross = 1
+        else:
+            cross = e1[i][0] * e2[j][1] - e1[i][1] * e2[j][0]
+        if cross >= 0:
+            x, y = x + e1[i][0], y + e1[i][1]
+            i += 1
+        if cross <= 0:
+            x, y = x + e2[j][0], y + e2[j][1]
+            j += 1
+    return out
 
 
 def _verify_counterexample(record: dict) -> bool:
@@ -443,7 +491,7 @@ def quasiconvex_search(cfg: RunConfig) -> dict:
                 "margin": str(vm - max(vk, vl)),
             }
             if not _verify_counterexample(record):
-                raise AssertionError("fast path and canonical path disagree on %r" % record)
+                raise InternalCheckFailed("fast path and canonical path disagree on %r" % record)
             records.append(record)
     records.sort(key=lambda r: (r["trial"], r["functional"]))
     return {
@@ -631,6 +679,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PreconditionError as exc:
         print("precondition error: %s" % exc, file=sys.stderr)
         return 3
+    except InternalCheckFailed as exc:
+        print("internal check failed: %s" % exc, file=sys.stderr)
+        return 4
     except (OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

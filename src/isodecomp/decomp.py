@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import GroupTooLarge, NotASymmetry, PreconditionError
+from .errors import GroupTooLarge, InternalCheckFailed, NotASymmetry, PreconditionError
 from .exactnum import Matrix, Vec, dot, is_zero_vec, kernel_basis, rat, rref_rank, vec
 from .polytope import Facet, Polytope, polar
 
@@ -125,7 +125,7 @@ def smilansky_dimension(p: Polytope) -> int:
     dim = m - rref_rank(Matrix.from_rows(rows, m))[1]
     other = facewise_affine_space(p).dimension
     if dim != other:
-        raise AssertionError(
+        raise InternalCheckFailed(
             "dimension cross-check failed: %d (dependence rank) != %d (kernel)" % (dim, other))
     return dim
 
@@ -195,7 +195,7 @@ def hypergraph_components(p: Polytope) -> ComponentReport:
     lower = sum(d + 1 for d in dims)
     fdim = facewise_affine_space(p).dimension
     if lower > fdim:
-        raise AssertionError("component lower bound %d exceeds dim F(P) = %d" % (lower, fdim))
+        raise InternalCheckFailed("component lower bound %d exceeds dim F(P) = %d" % (lower, fdim))
     return ComponentReport(tuple(components), tuple(dims), lower)
 
 

@@ -1,8 +1,11 @@
 """Exception hierarchy shared by all modules.
 
-Two families matter to callers (and to the CLI exit codes): violations of
-polytope invariants (`ValidationError`, exit 2) and violated operation
-preconditions (`PreconditionError`, exit 3).
+Three families matter to callers (and to the CLI exit codes): violations
+of polytope invariants (`ValidationError`, exit 2), violated operation
+preconditions (`PreconditionError`, exit 3) and failed internal
+cross-checks (`InternalCheckFailed`, exit 4), where two independent
+routes to the same exact value disagree: a fault in the program, not in
+its input.
 """
 
 
@@ -15,6 +18,10 @@ class ValidationError(IsodecompError):
 
 
 class PreconditionError(IsodecompError):
+    pass
+
+
+class InternalCheckFailed(IsodecompError):
     pass
 
 

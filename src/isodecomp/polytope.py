@@ -139,6 +139,12 @@ def validate(vertices: Sequence[Sequence], facets: Sequence[tuple | Facet]) -> P
         else:
             normal, offset, idx = f
             raw.append((vec(normal), rat(offset), tuple(idx)))
+    for k, (_, _, idx) in enumerate(raw):
+        bad = [i for i in idx if isinstance(i, bool) or not isinstance(i, int)
+               or not 0 <= i < len(verts)]
+        if bad:
+            raise IncidenceMismatch("facet %d lists vertex indices %s outside 0..%d"
+                                    % (k, bad, len(verts) - 1))
 
     body = _canonical(n, verts, raw)
     _check_structure(body)
@@ -402,9 +408,12 @@ def from_json_dict(data: dict) -> Polytope:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError("malformed polytope JSON (%s: %s)"
                               % (type(exc).__name__, exc)) from None
+    declared = data.get("dim")
+    if "dim" in data and (isinstance(declared, bool) or not isinstance(declared, int)):
+        raise ValidationError("declared dim must be an integer, got %r" % (declared,))
     body = validate(verts, facets) if facets else hull_facets(verts)
-    if "dim" in data and body.dim != data["dim"]:
-        raise DimensionMismatch("declared dim %s != coordinate dim %d" % (data["dim"], body.dim))
+    if "dim" in data and body.dim != declared:
+        raise DimensionMismatch("declared dim %d != coordinate dim %d" % (declared, body.dim))
     return body
 
 

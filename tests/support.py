@@ -10,7 +10,7 @@ from isodecomp.decomp import facewise_affine_space
 from isodecomp.errors import NotFullDimensional
 from isodecomp.exactnum import Matrix, determinant, dot, rref_rank, vsub
 from isodecomp.moments import MomentData, body_moments
-from isodecomp.polytope import Polytope, hull_facets, translate
+from isodecomp.polytope import Polytope, convex_hull_2d, hull_facets, translate
 from isodecomp.variations import eps_bound
 
 
@@ -63,6 +63,13 @@ def random_polytope(rng: random.Random, n: int, npts: int, bound: int = 4,
             return body
         c = body_moments(body).centroid()
         return translate(body, [-x for x in c])
+
+
+def hull_midpoint(ccw1, ccw2):
+    """Test oracle for the search's edge-merge Minkowski midpoint: the
+    planar hull of all pairwise midpoints of the two vertex lists."""
+    sums = [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p in ccw1 for q in ccw2]
+    return convex_hull_2d(sums)
 
 
 def _face_simplices(body: Polytope, face: frozenset, k: int) -> list[tuple[int, ...]]:

@@ -168,11 +168,18 @@ def run_cli(argv, tmp_path):
     return proc.returncode, proc.stderr
 
 
+TRIANGLE_JSON = [["0", "0"], ["1", "0"], ["0", "1"]]
+
+
 @pytest.mark.parametrize("data", [
     {"vertices": [[1.5, "0"], ["1", "0"], ["0", "1"]]},
     {"vertices": [["x", "0"], ["1", "0"], ["0", "1"]]},
     {"dim": 2},
-], ids=["float", "letter", "no-vertices"])
+    {"vertices": TRIANGLE_JSON,
+     "facets": [{"normal": ["1", "1"], "offset": "1", "vertices": [5, 6]}]},
+    {"dim": "2", "vertices": TRIANGLE_JSON},
+    {"dim": True, "vertices": TRIANGLE_JSON},
+], ids=["float", "letter", "no-vertices", "facet-index-out-of-range", "dim-string", "dim-bool"])
 def test_malformed_body_exits_2(data, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(data))
     code, err = run_cli(["lk", "bad.json"], tmp_path)

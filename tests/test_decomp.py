@@ -14,7 +14,8 @@ from isodecomp.decomp import (
     symmetry_analysis,
     threshold_check,
 )
-from isodecomp.errors import GroupTooLarge, NotASymmetry
+from isodecomp import decomp
+from isodecomp.errors import GroupTooLarge, InternalCheckFailed, NotASymmetry
 from isodecomp.exactnum import Matrix, determinant, dot
 from isodecomp.polytope import affine_image, hull_facets, minkowski_sum, polar, scale, translate
 from isodecomp.variations import eps_bound
@@ -94,6 +95,18 @@ def test_threshold_examples(hexagon, triangle_o):
     rep = threshold_check(hexagon)
     assert (rep.dim, rep.bound, rep.exceeds) == (6, 5, True)
     assert threshold_check(support.centered_simplex(3)).bound == 9
+
+
+def test_cross_check_failures_raise_internal_check(monkeypatch, octahedron):
+    """A disagreement between the two routes to dim F(P) is a fault of the
+    program, reported as InternalCheckFailed, not as a bare assertion."""
+    space = facewise_affine_space(octahedron)
+    short = decomp.FacewiseAffineSpace(octahedron, space.basis[:1])
+    monkeypatch.setattr(decomp, "facewise_affine_space", lambda p: short)
+    with pytest.raises(InternalCheckFailed, match="dimension cross-check"):
+        smilansky_dimension(octahedron)
+    with pytest.raises(InternalCheckFailed, match="component lower bound"):
+        hypergraph_components(octahedron)
 
 
 def test_hypergraph_components(octahedron, cube3):

@@ -11,6 +11,7 @@ from isodecomp.errors import (
     NotFullDimensional,
     OriginNotInterior,
     SingularMatrix,
+    ValidationError,
 )
 from isodecomp.polytope import (
     Facet,
@@ -166,6 +167,20 @@ def test_json_round_trip(cube3):
     assert from_json_dict(data) == cube3
     no_facets = {"dim": 3, "vertices": data["vertices"]}
     assert from_json_dict(no_facets) == cube3
+
+
+def test_json_declared_dim_and_facet_indices(cube3):
+    data = to_json_dict(cube3)
+    for dim in ("3", True, None, 3.0):
+        with pytest.raises(ValidationError, match="declared dim must be an integer"):
+            from_json_dict(dict(data, dim=dim))
+    with pytest.raises(DimensionMismatch):
+        from_json_dict(dict(data, dim=2))
+    for bad in (8, -1, "0"):
+        facets = [dict(f) for f in data["facets"]]
+        facets[2]["vertices"] = facets[2]["vertices"][:-1] + [bad]
+        with pytest.raises(IncidenceMismatch, match="facet 2 lists vertex indices"):
+            from_json_dict(dict(data, facets=facets))
 
 
 def test_facet_normalization(triangle_o):
