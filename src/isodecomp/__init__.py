@@ -46,6 +46,7 @@ from .variations import (
     gap_integral,
     kernel_direction,
     lk_second_derivative,
+    radial_moments,
     radial_polytope,
     rs_speed_space,
     shadow_polytope,

@@ -83,9 +83,23 @@ def _load_json_arg(value: str):
             return json.load(fh)
 
 
-def _speed_from_arg(p: Polytope, value: str):
+def _rational_arg(value: str, convert, what: str):
+    """Load a JSON argument and convert its entries to rationals; an entry
+    that is not a rational, or a wrongly nested value, is a ValidationError."""
     data = _load_json_arg(value)
-    g = vec(data)
+    try:
+        return convert(data)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError("%s must hold rationals: %s" % (what, exc)) from exc
+
+
+def _generators_arg(value: str):
+    return _rational_arg(value, lambda gens: [[[rat(x) for x in row] for row in g] for g in gens],
+                         "--generators")
+
+
+def _speed_from_arg(p: Polytope, value: str, what: str = "--speed"):
+    g = _rational_arg(value, vec, what)
     if len(g) != len(p.vertices):
         raise PreconditionError(
             "speed has %d entries, polytope has %d vertices (canonical order)"
@@ -544,22 +558,17 @@ def run(config: RunConfig) -> int:
             "reconstructs_double_polar": polytope.minkowski_sum(q, r) == doubled,
         })
     elif cmd == "symmetric":
-        gens = _load_json_arg(config.generators)
-        mats = [[[rat(x) for x in row] for row in g] for g in gens]
-        _emit(config, _symmetry_report(body, mats))
+        _emit(config, _symmetry_report(body, _generators_arg(config.generators)))
     elif cmd == "variation":
         g = _speed_from_arg(body, config.speed)
         _emit(config, _variation_report(body, g, config.fd_step))
     elif cmd == "certify":
-        gens = None
-        if config.generators:
-            gens = [[[rat(x) for x in row] for row in g]
-                    for g in _load_json_arg(config.generators)]
+        gens = _generators_arg(config.generators) if config.generators else None
         report = maximizer_report(body, gens, config.fd_step, config.precision)
         _emit(config, report, text=render_maximizer_text(report))
     elif cmd == "shadow":
-        direction = vec(_load_json_arg(config.direction))
-        beta = _speed_from_arg(body, config.beta)
+        direction = _rational_arg(config.direction, vec, "--dir")
+        beta = _speed_from_arg(body, config.beta, "--beta")
         t = config.t_range
         system = variations.ShadowSystem(body, direction, beta, (-t, t))
         k = max(3, config.grid)
@@ -568,12 +577,12 @@ def run(config: RunConfig) -> int:
             ti = -t + 2 * t * Fraction(i, k - 1)
             body_t = variations.shadow_polytope(system, ti)
             md = moments.body_moments(body_t)
-            l2n = moments.l_pow_2n(body_t)
+            l2n = md.l_pow_2n()
             lines.append("%s,%s,%.12g,%s,%.12g" % (
                 ti, md.volume, float(md.volume), l2n, float(l2n)))
         _emit(config, "\n".join(lines) + "\n")
     elif cmd == "rs-dim":
-        direction = vec(_load_json_arg(config.direction))
+        direction = _rational_arg(config.direction, vec, "--dir")
         _emit(config, {
             "direction": _vec_exact(direction),
             "rs_speed_dim": variations.rs_speed_space(body, direction),
@@ -636,19 +645,28 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand,
                     inputs=[getattr(args, "input")] if hasattr(args, "input") else [])
+
+    def rational_flag(flag: str, value: str) -> Fraction:
+        try:
+            return rat(value)
+        except (ValueError, ZeroDivisionError):
+            parser.error("%s must be a rational p/q, got %r" % (flag, value))
+
     cfg.precision = max(DEFAULT_PRECISION_BITS, getattr(args, "precision", DEFAULT_PRECISION_BITS))
     if getattr(args, "fd_step", None):
-        cfg.fd_step = rat(args.fd_step)
+        cfg.fd_step = rational_flag("--fd-step", args.fd_step)
+        if cfg.fd_step <= 0:
+            parser.error("--fd-step must be positive, got %r" % args.fd_step)
     cfg.out = getattr(args, "out", None)
     cfg.generators = getattr(args, "generators", None)
     cfg.speed = getattr(args, "speed", None)
     if getattr(args, "eps", None):
-        cfg.eps = rat(args.eps)
+        cfg.eps = rational_flag("--eps", args.eps)
     cfg.direction = getattr(args, "direction", None)
     cfg.beta = getattr(args, "beta", None)
     cfg.grid = getattr(args, "grid", 9)
     if getattr(args, "t_range", None):
-        cfg.t_range = rat(args.t_range)
+        cfg.t_range = rational_flag("--t-range", args.t_range)
     if hasattr(args, "seed"):
         cfg.seed = args.seed
     if hasattr(args, "budget"):

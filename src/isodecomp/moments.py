@@ -252,6 +252,44 @@ def boundary_moment(p: Polytope, poly) -> Fraction:
                 for fi in range(len(p.facets))), Fraction(0))
 
 
+@lru_cache(maxsize=256)
+def boundary_weights(p: Polytope) -> tuple[Vec, ...]:
+    """Per-vertex weight rows w_h with <w_h, g> = sum_F facet_moment(F, [h, g])
+    for h = 1, then x_i x_j (i <= j), then x_i: the boundary moments that
+    are linear in a speed g given by its vertex values.
+
+    In the Dirichlet formula a facet simplex S of F gives its vertex v
+
+        1                                                        (k = 1),
+        2 y_v z_v + sum y z + y_v sum z + z_v sum y + sum y sum z (y = x_i, z = x_j, k = 3),
+        y_v + sum y                                              (y = x_i, k = 2),
+
+    with sums over the vertices of S, times (b/|a|^2) * measure * d!/(d+k)!
+    for d = n-1.  With g = 1 the rows give n vol, (n+2) int x_i x_j and
+    (n+1) int x_i (Euler's identity).
+    """
+    n, m = p.dim, len(p.vertices)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    w = [[Fraction(0)] * m for _ in range(1 + len(pairs) + n)]
+    k1, k2, k3 = (Fraction(factorial(n - 1), factorial(n - 1 + k)) for k in (1, 2, 3))
+    for fi, f in enumerate(p.facets):
+        height = f.offset / dot(f.normal, f.normal)
+        for measure, idx in _facet_raw_table(p, fi):
+            c1, c2, c3 = (height * measure * k for k in (k1, k2, k3))
+            pts = [p.vertices[v] for v in idx]
+            s = [sum(q[i] for q in pts) for i in range(n)]
+            for v in idx:
+                w[0][v] += c1
+            for r, (i, j) in enumerate(pairs, 1):
+                common = sum(q[i] * q[j] for q in pts) + s[i] * s[j]
+                for v, q in zip(idx, pts):
+                    w[r][v] += c3 * (2 * q[i] * q[j] + common + q[i] * s[j] + q[j] * s[i])
+            for i in range(n):
+                for v, q in zip(idx, pts):
+                    w[1 + len(pairs) + i][v] += c2 * (q[i] + s[i])
+    return tuple(tuple(row) for row in w)
+
+
 # ---------------------------------------------------------------------------
 # body moments
 
@@ -276,6 +314,13 @@ class MomentData:
 
     def norm2_integral(self) -> Fraction:
         return sum(self.second_moments.rows[i][i] for i in range(len(self.first_moments)))
+
+    def l_pow_2n(self) -> Fraction:
+        """Exact L^(2n) = det(covariance) / volume^2."""
+        det_cov = determinant(self.covariance())
+        if det_cov <= 0:
+            raise DegeneratePolytope("covariance is singular")
+        return det_cov / (self.volume * self.volume)
 
 
 def _leading_minors_positive(m: Matrix) -> bool:
@@ -312,6 +357,43 @@ def body_moments(p: Polytope) -> MomentData:
     return md
 
 
+def cone_moments(p: Polytope, scale: Sequence[Fraction]) -> MomentData:
+    """Exact moments of the union of the cones from the origin over P's
+    facet simplices, each vertex v of P moved to w = v / scale(v), scale > 0.
+
+    A cone simplex 0, w_1..w_n has
+
+        vol = |det w| / n!,   int x = vol * sum w / (n+1),
+        int x x^T = vol * (sum w w^T + sum w sum w^T) / ((n+1)(n+2)),
+
+    where |det w| = |det v| / prod scale(v) and, for a facet simplex in
+    <a, x> = b, |det v| / n! = measure * b / (n |a|^2) (signed by b).  With
+    scale = 1 this is P; for other scales the union is a body only when the
+    moved simplices still bound it, which the caller must know.
+    """
+    n = p.dim
+    moved = [tuple(x / s for x in v) for v, s in zip(p.vertices, scale)]
+    vol = Fraction(0)
+    first = [Fraction(0)] * n
+    second = [[Fraction(0)] * n for _ in range(n)]
+    for fi, f in enumerate(p.facets):
+        height = f.offset / (n * dot(f.normal, f.normal))
+        for measure, idx in _facet_raw_table(p, fi):
+            cone = measure * height / prod(scale[i] for i in idx)
+            pts = [moved[i] for i in idx]
+            s = [sum(q[a] for q in pts) for a in range(n)]
+            vol += cone
+            for a in range(n):
+                first[a] += cone * s[a]
+                for b in range(a, n):
+                    second[a][b] += cone * (sum(q[a] * q[b] for q in pts) + s[a] * s[b])
+    for a in range(n):
+        for b in range(a):
+            second[a][b] = second[b][a]
+    return MomentData(vol, tuple(x / (n + 1) for x in first),
+                      Matrix.from_rows([[x / ((n + 1) * (n + 2)) for x in row] for row in second]))
+
+
 @dataclass(frozen=True)
 class IsotropyReport:
     centroid: Vec
@@ -323,11 +405,7 @@ class IsotropyReport:
 
 def l_pow_2n(p: Polytope) -> Fraction:
     """Exact L^(2n) = det(covariance) / volume^2."""
-    md = body_moments(p)
-    det_cov = determinant(md.covariance())
-    if det_cov <= 0:
-        raise DegeneratePolytope("covariance is singular")
-    return det_cov / (md.volume * md.volume)
+    return body_moments(p).l_pow_2n()
 
 
 def isotropy(p: Polytope) -> IsotropyReport:
@@ -339,7 +417,7 @@ def isotropy(p: Polytope) -> IsotropyReport:
     """
     md = body_moments(p)
     cov = md.covariance()
-    l2n = l_pow_2n(p)
+    l2n = md.l_pow_2n()
     a = np.array([[float(x) for x in row] for row in cov.rows], dtype=float)
     evals, evecs = np.linalg.eigh(a)
     m = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T

@@ -37,7 +37,14 @@ from .errors import (
     ValidationError,
 )
 from .exactnum import Matrix, Vec, dot, inverse, is_zero_vec, kernel_basis, rat, rref_rank, solve, vec
-from .moments import MomentData, body_moments, facet_moment, l_pow_2n
+from .moments import (
+    MomentData,
+    body_moments,
+    boundary_weights,
+    cone_moments,
+    facet_moment,
+    l_pow_2n,
+)
 from .polytope import Polytope, hull_facets, validate
 
 DEFAULT_FD_STEP = Fraction(1, 1000)
@@ -164,32 +171,57 @@ def radial_polytope(p: Polytope, g: Sequence, t: Fraction) -> Polytope:
         raise EpsilonTooLarge("radial body failed validation at t = %s: %s" % (t, exc)) from exc
 
 
+def radial_moments(p: Polytope, g: Sequence, t: Fraction) -> MomentData:
+    """Exact moments of the radial body at t, without building or
+    validating the body.
+
+    For |t| <= eps the body P_t is the union of the cones from the origin
+    over P's facet simplices with moved vertices w = v / (1 + t g(v)), so
+    its moments are `moments.cone_moments` with scale 1 + t g.
+
+    The guarantees of `radial_polytope` hold here too: EpsilonTooLarge
+    when |t| exceeds eps_bound, and when a moved vertex lies outside a
+    moved facet plane <a + t c_F, x> = 1, or on it without being incident.
+    With the incidences unchanged the map x -> x / (1 + t <c_F, x>) is
+    projective on the cone over each facet F, so it carries F's simplices
+    onto a triangulation of the moved facet; the rank conditions that
+    `validate` checks follow.
+    """
+    g = _check_speed(p, g)
+    t = rat(t)
+    eps = eps_bound(p, g)
+    if abs(t) > eps:
+        raise EpsilonTooLarge("|t| = %s exceeds the validity radius %s" % (t, eps))
+    scale = [1 + t * x for x in g]
+    for f, c in zip(p.facets, _facet_linear_forms(p, g)):
+        incident = set(f.vertex_indices)
+        for i, v in enumerate(p.vertices):
+            side = dot(f.normal, v) + t * dot(c, v)  # <a + t c_F, w_i> * scale[i]
+            if side > scale[i] or (side == scale[i]) != (i in incident):
+                raise EpsilonTooLarge("radial body at t = %s: vertex %d reaches the plane "
+                                      "of facet %s" % (t, i, f.normal))
+    return cone_moments(p, scale)
+
+
 def boundary_first_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
-    """d/dt at t=0 of vol, int x, int x x^T, int |x|^2 along the family."""
+    """d/dt at t=0 of vol, int x, int x x^T, int |x|^2 along the family:
+    minus the boundary moments of g, read from `moments.boundary_weights`."""
     g = _check_speed(p, g)
     if not p.origin_interior:
         raise OriginNotInterior("boundary derivatives need the origin inside")
-    forms = _facet_linear_forms(p, g)
+    _facet_linear_forms(p, g)  # g must be facewise affine
     n = p.dim
-    x = list(zip(*p.vertices))
-    d_vol = Fraction(0)
-    d_x = [Fraction(0)] * n
+    d = iter([-dot(row, g) for row in boundary_weights(p)])
+    d_vol = next(d)
     d_xx = [[Fraction(0)] * n for _ in range(n)]
-    for fi, c in enumerate(forms):
-        if is_zero_vec(c):
-            continue
-        d_vol -= facet_moment(p, fi, [g])
-        for i in range(n):
-            d_x[i] -= facet_moment(p, fi, [x[i], g])
-            for j in range(i, n):
-                d_xx[i][j] -= facet_moment(p, fi, [x[i], x[j], g])
     for i in range(n):
-        for j in range(i):
-            d_xx[i][j] = d_xx[j][i]
-    d_x2 = sum(d_xx[i][i] for i in range(n))
+        for j in range(i, n):
+            d_xx[i][j] = d_xx[j][i] = next(d)
+    d_x = tuple(d)
     return DerivativeReport(
-        d_vol=d_vol, d_x=tuple(d_x), d_xx=tuple(tuple(r) for r in d_xx),
-        d_x2=d_x2, dd_vol=None, dd_xx=None, dd_x2=None, method="exact-facet")
+        d_vol=d_vol, d_x=d_x, d_xx=tuple(tuple(r) for r in d_xx),
+        d_x2=sum(d_xx[i][i] for i in range(n)), dd_vol=None, dd_xx=None, dd_x2=None,
+        method="exact-facet")
 
 
 def boundary_second_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
@@ -241,19 +273,15 @@ def kernel_direction(p: Polytope) -> Vec | None:
     """Nonzero facewise affine speed killing all first moment derivatives.
 
     Kernel of the linear map g -> (d/dt int x_i x_j, d/dt int x_i) on
-    F(P); nonempty whenever dim F(P) exceeds (n^2+3n)/2.  Exact.
+    F(P), assembled once from the weight rows of `moments.boundary_weights`
+    and applied to a basis of F(P); nonempty whenever dim F(P) exceeds
+    (n^2+3n)/2.  Exact.
     """
     if not p.origin_interior:
         raise OriginNotInterior("kernel search needs the origin inside")
     basis = facewise_affine_space(p).basis
-    n = p.dim
-    cols = []
-    for b in basis:
-        rep = boundary_first_derivatives(p, b)
-        col = [rep.d_xx[i][j] for i in range(n) for j in range(i, n)]
-        col.extend(rep.d_x)
-        cols.append(col)
-    rows = [[cols[k][r] for k in range(len(basis))] for r in range(len(cols[0]))]
+    # rows d/dt int x_i x_j (i <= j), then d/dt int x_i, one column per basis vector
+    rows = [[-dot(row, b) for b in basis] for row in boundary_weights(p)[1:]]
     ker = kernel_basis(Matrix.from_rows(rows, len(basis)))
     if not ker:
         return None
@@ -328,8 +356,8 @@ def lk_second_derivative(p: Polytope, g: Sequence,
         raise StepTooLarge("no admissible finite-difference step")
 
     def second_diff(step: Fraction) -> Fraction:
-        lp = l_pow_2n(radial_polytope(p, g, step))
-        lm = l_pow_2n(radial_polytope(p, g, -step))
+        lp = radial_moments(p, g, step).l_pow_2n()
+        lm = radial_moments(p, g, -step).l_pow_2n()
         return (lp - 2 * l0 + lm) / step ** 2
 
     exact_fd = (4 * second_diff(h) - second_diff(2 * h)) / 3
@@ -342,13 +370,13 @@ def lk_second_derivative(p: Polytope, g: Sequence,
 # ---------------------------------------------------------------------------
 # finite differences
 
-def _quantity_value(md: MomentData, cov_l2n, quantity) -> Fraction:
+def _quantity_value(md: MomentData, quantity) -> Fraction:
     if quantity == "vol":
         return md.volume
     if quantity == "x2":
         return md.norm2_integral()
     if quantity == "l2n":
-        return cov_l2n()
+        return md.l_pow_2n()
     if isinstance(quantity, tuple) and quantity and quantity[0] == "x":
         return md.first_moments[quantity[1]]
     if isinstance(quantity, tuple) and quantity and quantity[0] == "xx":
@@ -372,9 +400,7 @@ def finite_difference_oracle(p: Polytope, g: Sequence, quantity,
                            % (2 * h, eps_bound(p, g)))
 
     def q(t: Fraction) -> Fraction:
-        body = radial_polytope(p, g, t)
-        md = body_moments(body)
-        return _quantity_value(md, lambda: l_pow_2n(body), quantity)
+        return _quantity_value(radial_moments(p, g, t), quantity)
 
     d_h = (q(h) - q(-h)) / (2 * h)
     d_2h = (q(2 * h) - q(-2 * h)) / (4 * h)
@@ -387,12 +413,14 @@ def finite_difference_report(p: Polytope, g: Sequence,
     central differences of exact moments, sharing the four body evaluations."""
     g = _check_speed(p, g)
     h = rat(h)
+    if h <= 0:
+        raise StepTooLarge("step must be positive")
     if 2 * h > eps_bound(p, g):
         raise StepTooLarge("2h = %s exceeds the validity radius %s"
                            % (2 * h, eps_bound(p, g)))
     n = p.dim
     md0 = body_moments(p)
-    mds = {t: body_moments(radial_polytope(p, g, t * h)) for t in (-2, -1, 1, 2)}
+    mds = {t: radial_moments(p, g, t * h) for t in (-2, -1, 1, 2)}
 
     def first(read) -> Fraction:
         d_h = (read(mds[1]) - read(mds[-1])) / (2 * h)

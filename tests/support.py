@@ -8,10 +8,10 @@ from math import factorial
 
 from isodecomp.decomp import facewise_affine_space
 from isodecomp.errors import NotFullDimensional
-from isodecomp.exactnum import Matrix, determinant, dot, rref_rank, vsub
-from isodecomp.moments import MomentData, body_moments
+from isodecomp.exactnum import Matrix, determinant, dot, kernel_basis, rref_rank, vsub
+from isodecomp.moments import MomentData, body_moments, facet_moment
 from isodecomp.polytope import Polytope, convex_hull_2d, hull_facets, translate
-from isodecomp.variations import eps_bound
+from isodecomp.variations import DerivativeReport, eps_bound
 
 
 def cube(n: int) -> Polytope:
@@ -179,3 +179,43 @@ def rs_tent_movement(rng: random.Random, body: Polytope):
                 speeds.append((ymax - yk) / (ymax - y0))
         return u, tuple(speeds)
     return None
+
+
+def first_derivatives_by_facets(body: Polytope, g) -> DerivativeReport:
+    """Test oracle for boundary_first_derivatives: minus the distance-weighted
+    facet integrals of g, x_i g and x_i x_j g, one facet_moment call each."""
+    n = body.dim
+    x = list(zip(*body.vertices))
+
+    def moment(factors):
+        return -sum((facet_moment(body, fi, factors + [g]) for fi in range(len(body.facets))),
+                    Fraction(0))
+
+    d_xx = tuple(tuple(moment([x[min(i, j)], x[max(i, j)]]) for j in range(n)) for i in range(n))
+    return DerivativeReport(
+        d_vol=moment([]), d_x=tuple(moment([x[i]]) for i in range(n)), d_xx=d_xx,
+        d_x2=sum(d_xx[i][i] for i in range(n)), dd_vol=None, dd_xx=None, dd_x2=None,
+        method="exact-facet")
+
+
+def kernel_rows_by_basis(body: Polytope) -> list[list[Fraction]]:
+    """Test oracle for the kernel matrix of kernel_direction: one column per
+    basis vector b of F(P), holding d/dt int x_i x_j (i <= j) and then
+    d/dt int x_i from first_derivatives_by_facets(body, b); returned as rows."""
+    n = body.dim
+    cols = []
+    for b in facewise_affine_space(body).basis:
+        rep = first_derivatives_by_facets(body, b)
+        cols.append([rep.d_xx[i][j] for i in range(n) for j in range(i, n)] + list(rep.d_x))
+    return [list(row) for row in zip(*cols)]
+
+
+def kernel_direction_by_basis(body: Polytope):
+    """Test oracle for kernel_direction: the first kernel vector of
+    kernel_rows_by_basis, as vertex values, or None."""
+    basis = facewise_affine_space(body).basis
+    ker = kernel_basis(Matrix.from_rows(kernel_rows_by_basis(body), len(basis)))
+    if not ker:
+        return None
+    g = tuple(sum(c * b[i] for c, b in zip(ker[0], basis)) for i in range(len(body.vertices)))
+    return g if any(x != 0 for x in g) else None

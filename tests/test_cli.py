@@ -199,6 +199,51 @@ def test_bad_search_flags_exit_2(flags, tmp_path):
     assert "error:" in err and "Traceback" not in err
 
 
+BODIES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bodies")
+HEXAGON_FILE = os.path.join(BODIES, "hexagon.json")
+SQUARE_FILE = os.path.join(BODIES, "square.json")
+ONES_4 = json.dumps(["1"] * 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", HEXAGON_FILE, "--fd-step", "abc"],
+    ["certify", HEXAGON_FILE, "--fd-step", "1/0"],
+    ["certify", HEXAGON_FILE, "--fd-step", "0"],
+    ["variation", SQUARE_FILE, "--speed", ONES_4, "--fd-step", "0"],
+    ["variation", SQUARE_FILE, "--speed", ONES_4, "--fd-step", "-1/1000"],
+    ["summands", SQUARE_FILE, "--speed", ONES_4, "--eps", "abc"],
+    ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "1/0"],
+], ids=["fd-step-letters", "fd-step-zero-denominator", "certify-fd-step-zero",
+        "variation-fd-step-zero", "fd-step-negative", "eps-letters", "t-range-zero-denominator"])
+def test_bad_numeric_flags_exit_2(argv, tmp_path):
+    code, err = run_cli(argv, tmp_path)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["variation", HEXAGON_FILE, "--speed", '["a", 1, 1, 1, 1, 1]'],
+    ["summands", SQUARE_FILE, "--speed", '[1, 1, "1/0", 1]'],
+    ["rs-dim", SQUARE_FILE, "--dir", '["x", 0]'],
+    ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", '["b", 0, 0, 0]'],
+    ["symmetric", SQUARE_FILE, "--generators", '[[["a", "0"], ["0", "1"]]]'],
+    ["certify", SQUARE_FILE, "--generators", "[1]"],
+], ids=["speed", "speed-zero-denominator", "dir", "beta", "generators", "generators-shape"])
+def test_non_rational_json_entries_exit_2(argv, tmp_path):
+    code, err = run_cli(argv, tmp_path)
+    assert code == 2
+    assert "validation error" in err and "Traceback" not in err
+
+
+def test_python_m_isodecomp(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(isodecomp.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "isodecomp", "lk",
+                           os.path.join(BODIES, "triangle.json")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == 2
+
+
 def test_quasiconvex_search_determinism(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -9,6 +9,8 @@ from isodecomp.errors import UnsupportedDegree
 from isodecomp.exactnum import Matrix, determinant
 from isodecomp.moments import (
     body_moments,
+    boundary_weights,
+    cone_moments,
     facet_integral,
     facet_moment,
     boundary_moment,
@@ -73,6 +75,27 @@ def test_body_moments_match_reference(square, cube3, octahedron, hexagon, triang
         bodies += [body, translate(body, [F(7, 3)] * n), support.random_polytope(rng, n, npts)]
     for body in bodies:
         assert body_moments(body) == support.reference_moments(body), body
+
+
+def test_cone_sums_and_boundary_weights_match_reference(square, octahedron, hexagon,
+                                                       standard_triangle):
+    """With unit scale the cone sums are P's moments, and the boundary
+    weights summed against g = 1 give n vol, (n+2) int x x^T and
+    (n+1) int x (Euler's identity), wherever the origin lies."""
+    rng = random.Random(29)
+    bodies = [square, octahedron, hexagon, standard_triangle]
+    for n, npts in ((2, 7), (3, 7), (4, 7)):
+        body = support.random_polytope(rng, n, npts, centered=False)
+        bodies += [body, translate(body, [F(7, 3)] * n)]
+    for body in bodies:
+        n = body.dim
+        ref = support.reference_moments(body)
+        assert cone_moments(body, [F(1)] * len(body.vertices)) == ref, body
+        sums = [sum(row) for row in boundary_weights(body)]
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        assert sums == ([n * ref.volume]
+                        + [(n + 2) * ref.second_moments.rows[i][j] for i, j in pairs]
+                        + [(n + 1) * x for x in ref.first_moments]), body
 
 
 def test_body_moments_cube(cube3):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import support
+from isodecomp import moments, variations
 from isodecomp.errors import (
     CaseNotSupported,
     EpsilonTooLarge,
@@ -13,7 +14,7 @@ from isodecomp.errors import (
 from isodecomp.decomp import facewise_affine_space
 from isodecomp.exactnum import Matrix, kernel_basis
 from isodecomp.moments import body_moments, isotropy
-from isodecomp.polytope import affine_image, gauge_value, scale, translate
+from isodecomp.polytope import affine_image, gauge_value, hull_facets, scale, translate
 from isodecomp.variations import (
     ShadowSystem,
     boundary_first_derivatives,
@@ -25,6 +26,7 @@ from isodecomp.variations import (
     kernel_direction,
     lk_first_derivative,
     lk_second_derivative,
+    radial_moments,
     radial_polytope,
     rs_speed_space,
     shadow_polytope,
@@ -106,6 +108,52 @@ def test_radial_gauge_identity():
                 assert gauge_value(moved, v) == 1 + t * g[i]
 
 
+def _oracle_bodies():
+    """Named fixtures plus seeded random bodies for n = 2..4, all centered."""
+    prism = hull_facets([v + (s,) for v in support.hexagon().vertices for s in (-1, 1)])
+    bodies = [("hexagon", support.hexagon()), ("prism", prism),
+              ("cube", support.cube(3)), ("octahedron", support.cross_polytope(3))]
+    rng = random.Random(41)
+    for n, npts in ((2, 7), (3, 9), (4, 8)):
+        for k in range(2):
+            bodies.append(("random%dd-%d" % (n, k), support.random_polytope(rng, n, npts)))
+    return bodies
+
+
+ORACLE_BODIES = _oracle_bodies()
+
+
+@pytest.mark.parametrize("body", [b for _, b in ORACLE_BODIES],
+                         ids=[name for name, _ in ORACLE_BODIES])
+def test_radial_moments_match_radial_body(body):
+    g = support.random_speed(random.Random(len(body.vertices)), body)
+    eps = eps_bound(body, g)
+    for t in (F(0), eps / 2, -eps / 2, eps, -eps):
+        fast = radial_moments(body, g, t)
+        slow = body_moments(radial_polytope(body, g, t))
+        assert fast.volume == slow.volume
+        assert fast.first_moments == slow.first_moments
+        assert fast.second_moments.rows == slow.second_moments.rows
+    for t in (eps + F(1, 10 ** 9), -eps - F(1, 10 ** 9)):
+        with pytest.raises(EpsilonTooLarge):
+            radial_moments(body, g, t)
+
+
+def test_radial_moments_check_sides_past_the_bound(hexagon, monkeypatch):
+    # the bump at (-1,-1) puts the vertex on the line x + y = -1 through its
+    # neighbours at t = 1 and inside it beyond; with the bound disabled both
+    # the cone sums and the validated body must refuse
+    g = (F(1),) + (F(0),) * 5
+    assert eps_bound(hexagon, g) == F(1, 2)
+    monkeypatch.setattr(variations, "eps_bound", lambda p, g: F(2))
+    for t in (F(1), F(3, 2)):
+        with pytest.raises(EpsilonTooLarge):
+            radial_moments(hexagon, g, t)
+        with pytest.raises(EpsilonTooLarge):
+            radial_polytope(hexagon, g, t)
+    assert radial_moments(hexagon, g, F(9, 10)).volume > 0
+
+
 # ---------------------------------------------------------------------------
 # derivative engine
 
@@ -178,6 +226,14 @@ def test_fd_step_too_large(square):
         finite_difference_oracle(square, ones(square), "vol", F(1))
 
 
+@pytest.mark.parametrize("h", [F(0), F(-1, 1000)])
+def test_fd_step_must_be_positive(square, h):
+    with pytest.raises(StepTooLarge):
+        finite_difference_report(square, ones(square), h)
+    with pytest.raises(StepTooLarge):
+        finite_difference_oracle(square, ones(square), "vol", h)
+
+
 # ---------------------------------------------------------------------------
 # kernel directions and the certificate
 
@@ -188,6 +244,18 @@ def test_kernel_direction_hexagon(sheared_hexagon):
     rep = boundary_first_derivatives(body, g)
     assert all(x == 0 for x in rep.d_x)
     assert all(x == 0 for row in rep.d_xx for x in row)
+
+
+@pytest.mark.parametrize("body", [b for _, b in ORACLE_BODIES],
+                         ids=[name for name, _ in ORACLE_BODIES])
+def test_first_derivatives_match_facet_oracle(body):
+    basis = facewise_affine_space(body).basis
+    rows = [[-sum(w * x for w, x in zip(row, b)) for b in basis]
+            for row in moments.boundary_weights(body)[1:]]
+    assert rows == support.kernel_rows_by_basis(body)
+    assert kernel_direction(body) == support.kernel_direction_by_basis(body)
+    for g in list(basis) + [support.random_speed(random.Random(7), body)]:
+        assert boundary_first_derivatives(body, g) == support.first_derivatives_by_facets(body, g)
 
 
 def test_kernel_direction_triangle_none_or_annihilating(triangle_o):
