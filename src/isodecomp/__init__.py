@@ -14,12 +14,11 @@ from .decomp import (
     symmetry_analysis,
     threshold_check,
 )
-from .exactnum import Matrix, RadicalValue, determinant, kernel_basis, rref_rank
+from .exactnum import Matrix, determinant, kernel_basis, rref_rank
 from .moments import (
     IsotropyReport,
     MomentData,
     body_moments,
-    facet_integral,
     facet_moment,
     isotropy,
     simplex_monomial_integral,

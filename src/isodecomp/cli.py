@@ -225,7 +225,7 @@ def _variation_report(p: Polytope, g, fd_step: Fraction) -> dict:
             "dd_vol": _jfloat(fd.dd_vol),
             "dd_x2": _jfloat(fd.dd_x2),
         },
-        "gap_integral": _exact_pair(variations.gap_integral(p, g)),
+        "gap_integral": _exact_pair(exact.gap()),
     }
 
 
@@ -667,6 +667,8 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     cfg.grid = getattr(args, "grid", 9)
     if getattr(args, "t_range", None):
         cfg.t_range = rational_flag("--t-range", args.t_range)
+        if cfg.t_range <= 0:
+            parser.error("--t-range must be positive, got %r" % args.t_range)
     if hasattr(args, "seed"):
         cfg.seed = args.seed
     if hasattr(args, "budget"):

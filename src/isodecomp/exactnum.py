@@ -2,7 +2,7 @@
 
 Every decision in this package (ranks, signs, kernels, determinants,
 polytope incidences) is made over `fractions.Fraction`.  Floating point
-exists only at the reporting boundary, via :func:`to_float` and
+exists only at the reporting boundary, via ``float()`` and
 :func:`to_decimal_str`.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -38,25 +38,12 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
-def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vscale(c: Fraction, u: Sequence[Fraction]) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
-
-
-def to_float(x: Fraction) -> float:
-    """Correctly rounded IEEE double of an exact rational."""
-    return float(x)
 
 
 def to_decimal_str(x: Fraction, digits: int = 17) -> str:
@@ -135,10 +122,6 @@ def rref_rank(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         if r == nrows:
             break
     return Matrix(tuple(tuple(row) for row in rows), ncols), len(pivots), tuple(pivots)
-
-
-def rank(m: Matrix) -> int:
-    return rref_rank(m)[1]
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
@@ -227,76 +210,3 @@ def inverse(m: Matrix) -> Matrix:
     if rk < n or pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("singular matrix")
     return Matrix(tuple(row[n:] for row in reduced.rows), n)
-
-
-def sqrt_exact(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        raise ValueError("square root of a negative rational")
-    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-@dataclass(frozen=True)
-class RadicalValue:
-    """Exact value of the form coeff * sqrt(radicand), radicand rational >= 0.
-
-    Facet surface measures of rational polytopes live here: each facet
-    contributes a single common radicand (the squared length of its
-    normal vector), so sums within one facet never leave this form.
-    Square parts are folded into the coefficient without factoring
-    integers: only exact-square detection via isqrt is needed.
-    """
-
-    coeff: Fraction
-    radicand: Fraction
-
-    @staticmethod
-    def of(coeff: Fraction, radicand: Fraction) -> "RadicalValue":
-        if radicand < 0:
-            raise ValueError("negative radicand")
-        if coeff == 0 or radicand == 0:
-            return RadicalValue(Fraction(0), Fraction(1))
-        r = sqrt_exact(radicand)
-        if r is not None:
-            return RadicalValue(coeff * r, Fraction(1))
-        return RadicalValue(coeff, radicand)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
-    def exact(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("value %r is irrational" % (self,))
-        return self.coeff
-
-    def __float__(self) -> float:
-        return float(self.coeff) * float(self.radicand) ** 0.5
-
-    def scaled(self, c: Fraction) -> "RadicalValue":
-        return RadicalValue.of(self.coeff * c, self.radicand)
-
-    def plus(self, other: "RadicalValue") -> "RadicalValue":
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        ratio = sqrt_exact(other.radicand / self.radicand)
-        if ratio is None:
-            raise ValueError("incommensurable radicands %s, %s" % (self.radicand, other.radicand))
-        return RadicalValue.of(self.coeff + other.coeff * ratio, self.radicand)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RadicalValue.of(Fraction(other), Fraction(1))
-        if not isinstance(other, RadicalValue):
-            return NotImplemented
-        if (self.coeff > 0) != (other.coeff > 0) or (self.coeff < 0) != (other.coeff < 0):
-            return False
-        return self.coeff * self.coeff * self.radicand == other.coeff * other.coeff * other.radicand
-
-    def __hash__(self) -> int:
-        return hash((self.coeff * self.coeff * self.radicand, self.coeff > 0))

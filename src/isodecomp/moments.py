@@ -1,10 +1,11 @@
 """Exact integration over polytopes and their facets.
 
 Every integral is a sum over simplices whose vertices are vertices of the
-polytope.  The Dirichlet moment of the uniform measure on a d-simplex,
-E[lam^beta] = d! beta! / (d+|beta|)! in barycentric coordinates, summed
-over vertex tuples gives the mean of a product of affine factors
-l_1, ..., l_k over the simplex with vertices w_0, ..., w_d:
+polytope, plus the origin for body moments.  The Dirichlet moment of the
+uniform measure on a d-simplex, E[lam^beta] = d! beta! / (d+|beta|)! in
+barycentric coordinates, summed over vertex tuples gives the mean of a
+product of affine factors l_1, ..., l_k over the simplex with vertices
+w_0, ..., w_d:
 
     d!/(d+k)! * sum over set partitions pi of {1..k} of
         prod_{B in pi} (|B|-1)! * sum_v prod_{t in B} l_t(w_v),
@@ -16,13 +17,15 @@ triangulated into (n-1)-simplices; one inside the hyperplane <a, x> = b has
 
 so every facet integral is (rational) / |a|, a single radical per facet.
 The distance-weighted integral (b/|a|) * integral_F, the quantity every
-boundary-variation formula here consumes, is exactly rational.  Body
-integrals follow from the facets by Euler's identity: for h homogeneous
-of degree k, x h(x) has divergence (n+k) h, so
+boundary-variation formula here consumes, is exactly rational.
 
-    integral_P h dx = sum_F (b/|a|) integral_F h dsigma / (n+k)
+Body moments are cone sums from the origin over the facet simplices
+(`cone_moments`), signed by b wherever the origin lies.  Euler's identity
+(x h(x) has divergence (n+k) h for h homogeneous of degree k),
 
-with signed offsets b, wherever the origin lies.
+    integral_P h dx = sum_F (b/|a|) integral_F h dsigma / (n+k),
+
+ties them to the facet sums of `boundary_moment`: the tests' cross-check.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import numpy as np
 from .errors import DegeneratePolytope, UnsupportedDegree
 from .exactnum import (
     Matrix,
-    RadicalValue,
     Vec,
     determinant,
     dot,
@@ -229,21 +231,6 @@ def facet_moment(p: Polytope, facet, factors: Sequence[Sequence[Fraction]]) -> F
     return f.offset * _facet_raw(p, fi, factors) / dot(f.normal, f.normal)
 
 
-def facet_integral(p: Polytope, facet, poly) -> RadicalValue:
-    """Exact integral of a polynomial over a facet, surface measure.
-
-    The value is rational / |normal|; it is returned as an exact
-    coefficient-times-square-root value (often plainly rational).
-    """
-    fi = _facet_index(p, facet)
-    f = p.facets[fi]
-    columns = list(zip(*p.vertices))
-    raw = sum((c * _facet_raw(p, fi, _monomial_factors(columns, alpha))
-               for alpha, c in as_poly(poly, p.dim).items()), Fraction(0))
-    a2 = dot(f.normal, f.normal)
-    return RadicalValue.of(raw / a2, a2)
-
-
 def boundary_moment(p: Polytope, poly) -> Fraction:
     """Sum of distance-weighted facet integrals of a polynomial over all facets."""
     columns = list(zip(*p.vertices))
@@ -332,31 +319,6 @@ def _leading_minors_positive(m: Matrix) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)
-def body_moments(p: Polytope) -> MomentData:
-    """Exact volume, integral of x and integral of x x^T over P, from the
-    facets by Euler's identity."""
-    n = p.dim
-    x = list(zip(*p.vertices))
-
-    def integral(factors) -> Fraction:
-        return sum((facet_moment(p, fi, factors) for fi in range(len(p.facets))),
-                   Fraction(0)) / (n + len(factors))
-
-    vol = integral([])
-    if vol <= 0:
-        raise DegeneratePolytope("nonpositive volume")
-    first = tuple(integral([x[i]]) for i in range(n))
-    second = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            second[i][j] = second[j][i] = integral([x[i], x[j]])
-    md = MomentData(vol, first, Matrix.from_rows(second))
-    if not _leading_minors_positive(md.second_moments):
-        raise DegeneratePolytope("second moment matrix is not positive definite")
-    return md
-
-
 def cone_moments(p: Polytope, scale: Sequence[Fraction]) -> MomentData:
     """Exact moments of the union of the cones from the origin over P's
     facet simplices, each vertex v of P moved to w = v / scale(v), scale > 0.
@@ -368,8 +330,9 @@ def cone_moments(p: Polytope, scale: Sequence[Fraction]) -> MomentData:
 
     where |det w| = |det v| / prod scale(v) and, for a facet simplex in
     <a, x> = b, |det v| / n! = measure * b / (n |a|^2) (signed by b).  With
-    scale = 1 this is P; for other scales the union is a body only when the
-    moved simplices still bound it, which the caller must know.
+    scale = 1 this is P, wherever the origin lies; for other scales the
+    union is a body only when the moved simplices still bound it, which the
+    caller must know.
     """
     n = p.dim
     moved = [tuple(x / s for x in v) for v, s in zip(p.vertices, scale)]
@@ -392,6 +355,18 @@ def cone_moments(p: Polytope, scale: Sequence[Fraction]) -> MomentData:
             second[a][b] = second[b][a]
     return MomentData(vol, tuple(x / (n + 1) for x in first),
                       Matrix.from_rows([[x / ((n + 1) * (n + 2)) for x in row] for row in second]))
+
+
+@lru_cache(maxsize=256)
+def body_moments(p: Polytope) -> MomentData:
+    """Exact volume, integral of x and integral of x x^T over P: the cone
+    sums at unit scale."""
+    md = cone_moments(p, [1] * len(p.vertices))
+    if md.volume <= 0:
+        raise DegeneratePolytope("nonpositive volume")
+    if not _leading_minors_positive(md.second_moments):
+        raise DegeneratePolytope("second moment matrix is not positive definite")
+    return md
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,12 @@ class DerivativeReport:
     dd_x2: Fraction | None
     method: str
 
+    def gap(self) -> Fraction:
+        """The gap integral of `gap_integral`, read off the second
+        variation: dd_x2/(n+3) - (n+2) dd_vol/(n+1)."""
+        n = len(self.d_x)
+        return self.dd_x2 / (n + 3) - (n + 2) * self.dd_vol / (n + 1)
+
 
 @dataclass(frozen=True)
 class SecondDerivativeCertificate:
@@ -248,25 +254,14 @@ def boundary_second_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
 
 
 def gap_integral(p: Polytope, g: Sequence) -> Fraction:
-    """Distance-weighted boundary integral of f^2 (|x|^2 - (n+2)).
+    """Distance-weighted boundary integral of f^2 (|x|^2 - (n+2)), read off
+    the exact second variation (`DerivativeReport.gap`).
 
     The second variation of int (|x|^2 - (n+2)) along the radial family
     strictly exceeds (n+3) times this value whenever g is nonzero; at a
     local maximizer the value itself must be nonnegative.
     """
-    g = _check_speed(p, g)
-    if not p.origin_interior:
-        raise OriginNotInterior("the gap integral needs the origin inside")
-    forms = _facet_linear_forms(p, g)
-    n = p.dim
-    x = list(zip(*p.vertices))
-    total = Fraction(0)
-    for fi, c in enumerate(forms):
-        if is_zero_vec(c):
-            continue
-        total += sum(facet_moment(p, fi, [g, g, x[i], x[i]]) for i in range(n))
-        total -= (n + 2) * facet_moment(p, fi, [g, g])
-    return total
+    return boundary_second_derivatives(p, g).gap()
 
 
 def kernel_direction(p: Polytope) -> Vec | None:
@@ -349,18 +344,9 @@ def lk_second_derivative(p: Polytope, g: Sequence,
     l0 = l_pow_2n(p)
     exact_value = l0 * (log2 + log1 ** 2)
 
-    eps = eps_bound(p, g)
     h = fd_step if fd_step is not None else DEFAULT_FD_STEP
-    h = min(rat(h), eps / 2)
-    if h <= 0:
-        raise StepTooLarge("no admissible finite-difference step")
-
-    def second_diff(step: Fraction) -> Fraction:
-        lp = radial_moments(p, g, step).l_pow_2n()
-        lm = radial_moments(p, g, -step).l_pow_2n()
-        return (lp - 2 * l0 + lm) / step ** 2
-
-    exact_fd = (4 * second_diff(h) - second_diff(2 * h)) / 3
+    _, second = _richardson(p, g, min(rat(h), eps_bound(p, g) / 2))
+    exact_fd = second(MomentData.l_pow_2n)
     certificate = exact_value > 0 and exact_fd > 0
     return SecondDerivativeCertificate(
         value=float(exact_value), fd_value=float(exact_fd),
@@ -369,6 +355,35 @@ def lk_second_derivative(p: Polytope, g: Sequence,
 
 # ---------------------------------------------------------------------------
 # finite differences
+
+def _richardson(p: Polytope, g: Vec, h: Fraction):
+    """Richardson-extrapolated central differences along the radial family
+    of g from the exact moments at t = 0, +-h, +-2h, evaluated once.
+
+    Returns (first, second): each maps a reader of `MomentData` to its
+    first or second derivative at t = 0, with error O(h^4).
+    """
+    h = rat(h)
+    if h <= 0:
+        raise StepTooLarge("step must be positive")
+    eps = eps_bound(p, g)
+    if 2 * h > eps:
+        raise StepTooLarge("2h = %s exceeds the validity radius %s" % (2 * h, eps))
+    md0 = body_moments(p)
+    mds = {k: radial_moments(p, g, k * h) for k in (-2, -1, 1, 2)}
+
+    def first(read) -> Fraction:
+        d_h = (read(mds[1]) - read(mds[-1])) / (2 * h)
+        d_2h = (read(mds[2]) - read(mds[-2])) / (4 * h)
+        return (4 * d_h - d_2h) / 3
+
+    def second(read) -> Fraction:
+        s_h = (read(mds[1]) - 2 * read(md0) + read(mds[-1])) / h ** 2
+        s_2h = (read(mds[2]) - 2 * read(md0) + read(mds[-2])) / (4 * h ** 2)
+        return (4 * s_h - s_2h) / 3
+
+    return first, second
+
 
 def _quantity_value(md: MomentData, quantity) -> Fraction:
     if quantity == "vol":
@@ -391,20 +406,8 @@ def finite_difference_oracle(p: Polytope, g: Sequence, quantity,
 
     quantity is one of "vol", "x2", "l2n", ("x", i), ("xx", i, j).
     """
-    g = _check_speed(p, g)
-    h = rat(h)
-    if h <= 0:
-        raise StepTooLarge("step must be positive")
-    if 2 * h > eps_bound(p, g):
-        raise StepTooLarge("2h = %s exceeds the validity radius %s"
-                           % (2 * h, eps_bound(p, g)))
-
-    def q(t: Fraction) -> Fraction:
-        return _quantity_value(radial_moments(p, g, t), quantity)
-
-    d_h = (q(h) - q(-h)) / (2 * h)
-    d_2h = (q(2 * h) - q(-2 * h)) / (4 * h)
-    return float((4 * d_h - d_2h) / 3)
+    first, _ = _richardson(p, _check_speed(p, g), h)
+    return float(first(lambda md: _quantity_value(md, quantity)))
 
 
 def finite_difference_report(p: Polytope, g: Sequence,
@@ -412,26 +415,8 @@ def finite_difference_report(p: Polytope, g: Sequence,
     """All first derivatives (and second, for vol, x x^T and |x|^2) by
     central differences of exact moments, sharing the four body evaluations."""
     g = _check_speed(p, g)
-    h = rat(h)
-    if h <= 0:
-        raise StepTooLarge("step must be positive")
-    if 2 * h > eps_bound(p, g):
-        raise StepTooLarge("2h = %s exceeds the validity radius %s"
-                           % (2 * h, eps_bound(p, g)))
     n = p.dim
-    md0 = body_moments(p)
-    mds = {t: radial_moments(p, g, t * h) for t in (-2, -1, 1, 2)}
-
-    def first(read) -> Fraction:
-        d_h = (read(mds[1]) - read(mds[-1])) / (2 * h)
-        d_2h = (read(mds[2]) - read(mds[-2])) / (4 * h)
-        return (4 * d_h - d_2h) / 3
-
-    def second(read) -> Fraction:
-        s_h = (read(mds[1]) - 2 * read(md0) + read(mds[-1])) / h ** 2
-        s_2h = (read(mds[2]) - 2 * read(md0) + read(mds[-2])) / (4 * h ** 2)
-        return (4 * s_h - s_2h) / 3
-
+    first, second = _richardson(p, g, h)
     d_xx = [[first(lambda m, i=i, j=j: m.second_moments.rows[i][j]) for j in range(n)]
             for i in range(n)]
     dd_xx = [[second(lambda m, i=i, j=j: m.second_moments.rows[i][j]) for j in range(n)]
@@ -450,14 +435,24 @@ def finite_difference_report(p: Polytope, g: Sequence,
 # ---------------------------------------------------------------------------
 # shadow systems
 
+def _check_direction(p: Polytope, u: Sequence) -> Vec:
+    u = vec(u)
+    if is_zero_vec(u):
+        raise PreconditionError("direction must be nonzero")
+    if len(u) != p.dim:
+        raise PreconditionError("direction length %d != dimension %d" % (len(u), p.dim))
+    return u
+
+
 def shadow_polytope(s: ShadowSystem, t: Fraction) -> Polytope:
     """Hull of the moved vertex set at parameter t; vertices may merge or
     become interior."""
+    direction = _check_direction(s.base, s.direction)
     t = rat(t)
     lo, hi = s.t_range
     if not (lo <= t <= hi):
         raise PreconditionError("t = %s outside the declared range [%s, %s]" % (t, lo, hi))
-    moved = [tuple(x + t * s.speeds[i] * u for x, u in zip(v, s.direction))
+    moved = [tuple(x + t * s.speeds[i] * u for x, u in zip(v, direction))
              for i, v in enumerate(s.base.vertices)]
     try:
         return hull_facets(moved, check=False)
@@ -482,11 +477,7 @@ def rs_speed_space(p: Polytope, u: Sequence) -> int:
     in the tractable case: no facet normal orthogonal to u and the shadow
     of P equal to its central slice.  Then restriction to the boundary
     identifies the space with F(P)."""
-    u = vec(u)
-    if is_zero_vec(u):
-        raise PreconditionError("direction must be nonzero")
-    if len(u) != p.dim:
-        raise PreconditionError("direction dimension mismatch")
+    u = _check_direction(p, u)
     for f in p.facets:
         if dot(f.normal, u) == 0:
             raise CaseNotSupported("vertical facet: normal orthogonal to the direction")

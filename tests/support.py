@@ -219,3 +219,16 @@ def kernel_direction_by_basis(body: Polytope):
         return None
     g = tuple(sum(c * b[i] for c, b in zip(ker[0], basis)) for i in range(len(body.vertices)))
     return g if any(x != 0 for x in g) else None
+
+
+def gap_integral_by_facets(body: Polytope, g) -> Fraction:
+    """Test oracle for gap_integral: the distance-weighted integral of
+    f^2 (|x|^2 - (n+2)), summed facet by facet with one facet_moment call
+    per factor list."""
+    n = body.dim
+    x = list(zip(*body.vertices))
+    total = Fraction(0)
+    for fi in range(len(body.facets)):
+        total += sum(facet_moment(body, fi, [g, g, x[i], x[i]]) for i in range(n))
+        total -= (n + 2) * facet_moment(body, fi, [g, g])
+    return total

@@ -213,8 +213,11 @@ ONES_4 = json.dumps(["1"] * 4)
     ["variation", SQUARE_FILE, "--speed", ONES_4, "--fd-step", "-1/1000"],
     ["summands", SQUARE_FILE, "--speed", ONES_4, "--eps", "abc"],
     ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "1/0"],
+    ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "0"],
+    ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "-1/4"],
 ], ids=["fd-step-letters", "fd-step-zero-denominator", "certify-fd-step-zero",
-        "variation-fd-step-zero", "fd-step-negative", "eps-letters", "t-range-zero-denominator"])
+        "variation-fd-step-zero", "fd-step-negative", "eps-letters", "t-range-zero-denominator",
+        "t-range-zero", "t-range-negative"])
 def test_bad_numeric_flags_exit_2(argv, tmp_path):
     code, err = run_cli(argv, tmp_path)
     assert code == 2
@@ -233,6 +236,19 @@ def test_non_rational_json_entries_exit_2(argv, tmp_path):
     code, err = run_cli(argv, tmp_path)
     assert code == 2
     assert "validation error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shadow", SQUARE_FILE, "--dir", '["0", "0"]', "--beta", '["1", "0", "0", "0"]'],
+    ["shadow", SQUARE_FILE, "--dir", '["1"]', "--beta", '["1", "0", "0", "0"]'],
+    ["shadow", SQUARE_FILE, "--dir", '["1", "0", "0"]', "--beta", '["1", "0", "0", "0"]'],
+    ["rs-dim", SQUARE_FILE, "--dir", '["0", "0"]'],
+    ["rs-dim", SQUARE_FILE, "--dir", '["1"]'],
+], ids=["shadow-zero", "shadow-short", "shadow-long", "rs-dim-zero", "rs-dim-short"])
+def test_bad_direction_exit_3(argv, tmp_path):
+    code, err = run_cli(argv, tmp_path)
+    assert code == 3
+    assert "precondition error" in err and "Traceback" not in err
 
 
 def test_python_m_isodecomp(tmp_path):

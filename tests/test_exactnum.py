@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from isodecomp.exactnum import (
     Matrix,
-    RadicalValue,
     determinant,
     inverse,
     kernel_basis,
     rat,
     rref_rank,
     solve,
-    sqrt_exact,
     to_decimal_str,
 )
 
@@ -107,17 +105,3 @@ def test_rat_rejects_floats():
 def test_decimal_rendering():
     assert to_decimal_str(F(1, 108), 12).startswith("0.0092592592")
 
-
-def test_sqrt_exact():
-    assert sqrt_exact(F(9, 4)) == F(3, 2)
-    assert sqrt_exact(F(2)) is None
-
-
-def test_radical_value_equality_and_sum():
-    assert RadicalValue.of(F(1), F(8)) == RadicalValue.of(F(2), F(2))
-    assert RadicalValue.of(F(3), F(1)) == 3
-    total = RadicalValue.of(F(1), F(2)).plus(RadicalValue.of(F(1), F(8)))
-    assert total == RadicalValue.of(F(3), F(2))
-    with pytest.raises(ValueError):
-        RadicalValue.of(F(1), F(2)).plus(RadicalValue.of(F(1), F(3)))
-    assert abs(float(RadicalValue.of(F(3), F(2))) - 3 * 2 ** 0.5) < 1e-12

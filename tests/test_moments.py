@@ -11,7 +11,6 @@ from isodecomp.moments import (
     body_moments,
     boundary_weights,
     cone_moments,
-    facet_integral,
     facet_moment,
     boundary_moment,
     isotropy,
@@ -151,31 +150,14 @@ def test_isotropizing_residual_small(standard_triangle):
     assert isotropy(standard_triangle).residual < 1e-10
 
 
-def test_facet_integral_examples(square):
-    # facets are sorted by normal: index of the x <= 1 edge
-    idx = next(i for i, f in enumerate(square.facets) if f.normal == (F(1), F(0)))
-    assert facet_integral(square, idx, poly_const(1, 2)).exact() == 2
-    assert facet_integral(square, idx, poly_norm2(2)).exact() == F(8, 3)
-
-
-def test_facet_integral_irrational_length(triangle_o):
-    idx = next(i for i, f in enumerate(triangle_o.facets) if f.normal == (F(1), F(1)))
-    val = facet_integral(triangle_o, idx, poly_const(1, 2))
-    assert not val.is_rational
-    assert abs(float(val) - 3 * sqrt(2)) < 1e-12
-
-
-def test_facet_integral_degree_cap(square):
-    with pytest.raises(UnsupportedDegree):
-        facet_integral(square, 0, {(5, 0): F(1)})
-
-
 def test_divergence_identities_on_fixtures(square, cube3, octahedron, hexagon, triangle_o):
+    """Euler's identity ties the facet Dirichlet sums of `boundary_moment`
+    to the cone sums of `body_moments`, wherever the origin lies."""
     rng = random.Random(31)
-    bodies = [square, cube3, octahedron, hexagon, triangle_o,
-              support.cross_polytope(4),
-              support.random_polytope(rng, 2, 8),
-              support.random_polytope(rng, 3, 7)]
+    bodies = [square, cube3, octahedron, hexagon, triangle_o, support.cross_polytope(4)]
+    for n, npts in ((2, 8), (3, 7), (4, 7)):
+        body = support.random_polytope(rng, n, npts)
+        bodies += [body, translate(body, [F(7, 3)] * n)]
     for body in bodies:
         n = body.dim
         md = body_moments(body)
@@ -218,7 +200,6 @@ def test_second_moments_positive_definite_guard():
         assert determinant(sub) > 0
 
 
-def test_facet_integral_accepts_facet_object(square):
+def test_facet_moment_accepts_facet_object(square):
     f = next(f for f in square.facets if f.normal == (F(1), F(0)))
-    assert facet_integral(square, f, poly_const(1, 2)).exact() == 2
     assert facet_moment(square, f, []) == 2

@@ -189,6 +189,18 @@ def test_gap_integral_values(square):
     assert gap_integral(big, ones(big)) > 0
 
 
+def test_gap_integral_matches_facet_sums(hexagon, cube3):
+    rng = random.Random(41)
+    cases = [(hexagon, ones(hexagon)), (cube3, ones(cube3)),
+             (hexagon, support.random_speed(rng, hexagon)),
+             (cube3, support.random_speed(rng, cube3))]
+    for n, npts in ((2, 7), (3, 7), (4, 7)):
+        body = support.random_polytope(rng, n, npts)
+        cases.append((body, support.random_speed(rng, body)))
+    for body, g in cases:
+        assert gap_integral(body, g) == support.gap_integral_by_facets(body, g), body
+
+
 def test_second_variation_strict_inequality():
     rng = random.Random(23)
     for n, npts in ((2, 7), (3, 6)):
