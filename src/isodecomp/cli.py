@@ -662,6 +662,8 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     cfg.speed = getattr(args, "speed", None)
     if getattr(args, "eps", None):
         cfg.eps = rational_flag("--eps", args.eps)
+        if cfg.eps <= 0:
+            parser.error("--eps must be positive, got %r" % args.eps)
     cfg.direction = getattr(args, "direction", None)
     cfg.beta = getattr(args, "beta", None)
     cfg.grid = getattr(args, "grid", 9)

@@ -212,6 +212,8 @@ def summand_pair(p: Polytope, g: Sequence, eps: Fraction) -> tuple[Polytope, Pol
     eps = rat(eps)
     if is_zero_vec(g):
         raise PreconditionError("speed must be nonzero")
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
     plus = radial_polytope(p, g, eps)
     minus = radial_polytope(p, tuple(-x for x in g), eps)
     return polar(plus), polar(minus)

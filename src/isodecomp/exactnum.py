@@ -1,7 +1,10 @@
 """Exact rational scalars, vectors and matrices.
 
 Every decision in this package (ranks, signs, kernels, determinants,
-polytope incidences) is made over `fractions.Fraction`.  Floating point
+polytope incidences) is made in exact rational arithmetic: over
+`fractions.Fraction`, or over `int` once a common denominator has been
+cleared (the fraction-free determinant below, the hull's supporting
+hyperplanes and the planar search's shoelace sums).  Floating point
 exists only at the reporting boundary, via ``float()`` and
 :func:`to_decimal_str`.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -145,33 +148,21 @@ def kernel_basis(m: Matrix) -> list[Vec]:
     return basis
 
 
-def determinant(m: Matrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination.
-
-    Rows are first scaled to integers; Bareiss keeps every intermediate
-    value an integer, which bounds coefficient blowup compared to naive
-    fraction elimination.
-    """
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, in place: every intermediate value stays an integer
+    (a minor of the input), which bounds coefficient growth."""
+    n = len(rows)
     if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    a: list[list[int]] = []
-    for row in m.rows:
-        denom_lcm = 1
-        for x in row:
-            denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-        scale *= denom_lcm
-        a.append([int(x * denom_lcm) for x in row])
+        return 1
+    a = rows
     sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
-                return Fraction(0)
+                return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -179,7 +170,20 @@ def determinant(m: Matrix) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    return sign * a[n - 1][n - 1]
+
+
+def determinant(m: Matrix) -> Fraction:
+    """Exact determinant: rows scaled to integers, then :func:`_bareiss`."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    scale = 1
+    a: list[list[int]] = []
+    for row in m.rows:
+        denom_lcm = lcm(*(x.denominator for x in row))
+        scale *= denom_lcm
+        a.append([int(x * denom_lcm) for x in row])
+    return Fraction(_bareiss(a), scale)
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Vec | None:

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
-from .exactnum import Matrix, Vec, dot, inverse, rat, rref_rank, vec, vsub
+from .exactnum import Matrix, Vec, _bareiss, dot, inverse, rat, rref_rank, vec, vsub
 
 Point = Vec
 
@@ -225,19 +226,6 @@ def _hull_2d(points: list[Point]) -> Polytope:
     return _canonical(2, hull, facets)
 
 
-def _maximal_minors(rows: list[Vec], n: int) -> Vec:
-    """Kernel vector of an (n-1) x n matrix via signed maximal minors."""
-    from .exactnum import determinant
-
-    out = []
-    sign = 1
-    for j in range(n):
-        sub = Matrix.from_rows([[row[k] for k in range(n) if k != j] for row in rows], n - 1)
-        out.append(sign * determinant(sub))
-        sign = -sign
-    return tuple(out)
-
-
 def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
     """Convex hull by brute-force supporting-hyperplane enumeration.
 
@@ -245,11 +233,24 @@ def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
     contact set is (n-1)-dimensional are facets.  O(m^(n+1)) is accepted:
     exactness and simplicity dominate at desk scale (n <= 4, ~40 points).
     Interior input points are silently dropped.
+
+    The enumeration runs over integers: the points are first scaled by
+    the lcm d of their coordinate denominators, a homothety that keeps
+    their order and their facets.  A subset's normal is the vector of
+    signed maximal minors of its integer difference rows, divided by the
+    gcd of its entries; two normals are positive multiples of each other
+    exactly when these primitive forms are equal, so supporting
+    hyperplanes are deduplicated on them.  A facet <a, y> <= c of the
+    scaled points is <a, x> <= c/d of the input, a positive multiple of
+    the normal and offset the same enumeration finds in Fraction
+    arithmetic, so the normalized facets are identical.
     """
     pts = [vec(p) for p in points]
     if not pts:
         raise NotFullDimensional("no points")
     n = len(pts[0])
+    if n < 1:
+        raise NotFullDimensional("dimension must be >= 1")
     pts = sorted(set(pts))
     if _affine_rank(pts) != n:
         raise NotFullDimensional("points do not affinely span R^n")
@@ -258,18 +259,22 @@ def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
     if n == 2:
         return _hull_2d(pts)
 
-    m = len(pts)
-    supports: dict[tuple, tuple[Vec, Fraction]] = {}
-    for subset in combinations(range(m), n):
-        base = pts[subset[0]]
-        rows = [vsub(pts[i], base) for i in subset[1:]]
-        normal = _maximal_minors(rows, n)
-        if all(x == 0 for x in normal):
+    d = lcm(*(x.denominator for p in pts for x in p))
+    ipts = [tuple(x.numerator * (d // x.denominator) for x in p) for p in pts]
+    supports: dict[tuple[int, ...], int] = {}
+    for subset in combinations(range(len(ipts)), n):
+        base = ipts[subset[0]]
+        rows = [[a - b for a, b in zip(ipts[i], base)] for i in subset[1:]]
+        normal = [(-1) ** j * _bareiss([row[:j] + row[j + 1:] for row in rows])
+                  for j in range(n)]
+        g = gcd(*normal)
+        if g == 0:
             continue
-        offset = dot(normal, base)
+        normal = [x // g for x in normal]
+        offset = sum(a * b for a, b in zip(normal, base))
         above = below = False
-        for p in pts:
-            val = dot(normal, p)
+        for p in ipts:
+            val = sum(a * b for a, b in zip(normal, p))
             if val > offset:
                 above = True
             elif val < offset:
@@ -279,19 +284,16 @@ def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
         if above and below:
             continue
         if above:
-            normal = tuple(-x for x in normal)
+            normal = [-x for x in normal]
             offset = -offset
-        first = next(x for x in normal if x != 0)
-        scale = abs(first)
-        key = (tuple(x / scale for x in normal), offset / scale)
-        if key not in supports:
-            supports[key] = (normal, offset)
+        supports.setdefault(tuple(normal), offset)
 
     facet_data = []
-    for normal, offset in supports.values():
-        incident = [i for i, p in enumerate(pts) if dot(normal, p) == offset]
+    for normal, offset in supports.items():
+        incident = [i for i, p in enumerate(ipts)
+                    if sum(a * b for a, b in zip(normal, p)) == offset]
         if _affine_rank([pts[i] for i in incident]) == n - 1:
-            facet_data.append((normal, offset, incident))
+            facet_data.append((normal, Fraction(offset, d), incident))
 
     vertex_ids = []
     for i, p in enumerate(pts):

@@ -477,6 +477,8 @@ def rs_speed_space(p: Polytope, u: Sequence) -> int:
     in the tractable case: no facet normal orthogonal to u and the shadow
     of P equal to its central slice.  Then restriction to the boundary
     identifies the space with F(P)."""
+    if p.dim < 2:
+        raise CaseNotSupported("shadow speed spaces need dimension >= 2")
     u = _check_direction(p, u)
     for f in p.facets:
         if dot(f.normal, u) == 0:

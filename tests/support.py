@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from isodecomp.decomp import facewise_affine_space
 from isodecomp.errors import NotFullDimensional
-from isodecomp.exactnum import Matrix, determinant, dot, kernel_basis, rref_rank, vsub
+from isodecomp.exactnum import Matrix, determinant, dot, kernel_basis, rref_rank, vec, vsub
 from isodecomp.moments import MomentData, body_moments, facet_moment
-from isodecomp.polytope import Polytope, convex_hull_2d, hull_facets, translate
+from isodecomp.polytope import (
+    Polytope,
+    _affine_rank,
+    _canonical,
+    _check_structure,
+    _hull_1d,
+    _hull_2d,
+    convex_hull_2d,
+    hull_facets,
+    translate,
+)
 from isodecomp.variations import DerivativeReport, eps_bound
 
 
@@ -63,6 +74,79 @@ def random_polytope(rng: random.Random, n: int, npts: int, bound: int = 4,
             return body
         c = body_moments(body).centroid()
         return translate(body, [-x for x in c])
+
+
+def _maximal_minors(rows, n: int):
+    """Kernel vector of an (n-1) x n matrix via signed maximal minors."""
+    out = []
+    sign = 1
+    for j in range(n):
+        sub = Matrix.from_rows([[row[k] for k in range(n) if k != j] for row in rows], n - 1)
+        out.append(sign * determinant(sub))
+        sign = -sign
+    return tuple(out)
+
+
+def hull_facets_by_fractions(points, check: bool = True) -> Polytope:
+    """Test oracle for hull_facets: the same n-subset enumeration with
+    every normal, offset and support test in Fraction arithmetic, and
+    supporting hyperplanes deduplicated on the normal and offset divided
+    by the first nonzero normal entry's absolute value."""
+    pts = [vec(p) for p in points]
+    if not pts:
+        raise NotFullDimensional("no points")
+    n = len(pts[0])
+    if n < 1:
+        raise NotFullDimensional("dimension must be >= 1")
+    pts = sorted(set(pts))
+    if _affine_rank(pts) != n:
+        raise NotFullDimensional("points do not affinely span R^n")
+    if n == 1:
+        return _hull_1d(pts)
+    if n == 2:
+        return _hull_2d(pts)
+
+    supports = {}
+    for subset in combinations(range(len(pts)), n):
+        base = pts[subset[0]]
+        normal = _maximal_minors([vsub(pts[i], base) for i in subset[1:]], n)
+        if all(x == 0 for x in normal):
+            continue
+        offset = dot(normal, base)
+        above = below = False
+        for p in pts:
+            val = dot(normal, p)
+            if val > offset:
+                above = True
+            elif val < offset:
+                below = True
+            if above and below:
+                break
+        if above and below:
+            continue
+        if above:
+            normal = tuple(-x for x in normal)
+            offset = -offset
+        scale = abs(next(x for x in normal if x != 0))
+        supports.setdefault((tuple(x / scale for x in normal), offset / scale), (normal, offset))
+
+    facet_data = []
+    for normal, offset in supports.values():
+        incident = [i for i, p in enumerate(pts) if dot(normal, p) == offset]
+        if _affine_rank([pts[i] for i in incident]) == n - 1:
+            facet_data.append((normal, offset, incident))
+    vertex_ids = []
+    for i in range(len(pts)):
+        active = [normal for normal, _, inc in facet_data if i in inc]
+        if len(active) >= n and rref_rank(Matrix.from_rows(active, n))[1] == n:
+            vertex_ids.append(i)
+    keep = {old: new for new, old in enumerate(vertex_ids)}
+    facets = [(normal, offset, tuple(keep[i] for i in inc if i in keep))
+              for normal, offset, inc in facet_data]
+    body = _canonical(n, [pts[i] for i in vertex_ids], facets)
+    if check:
+        _check_structure(body)
+    return body
 
 
 def hull_midpoint(ccw1, ccw2):

@@ -187,6 +187,17 @@ def test_malformed_body_exits_2(data, tmp_path):
     assert "validation error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("data, argv, code, message", [
+    ({"vertices": [[]]}, ["polar"], 2, "validation error"),
+    ({"vertices": [["-1"], ["1"]]}, ["rs-dim", "--dir", '["1"]'], 3, "precondition error"),
+], ids=["polar-0d", "rs-dim-1d"])
+def test_low_dimensional_body_exits_cleanly(data, argv, code, message, tmp_path):
+    (tmp_path / "low.json").write_text(json.dumps(data))
+    got, err = run_cli(argv[:1] + ["low.json"] + argv[1:], tmp_path)
+    assert got == code
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--vertices", "2:2"],
     ["--vertices", "8:3"],
@@ -215,9 +226,11 @@ ONES_4 = json.dumps(["1"] * 4)
     ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "1/0"],
     ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "0"],
     ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "-1/4"],
+    ["summands", SQUARE_FILE, "--speed", '["1", "2", "1", "2"]', "--eps", "0"],
+    ["summands", SQUARE_FILE, "--speed", '["1", "2", "1", "2"]', "--eps=-1/4"],
 ], ids=["fd-step-letters", "fd-step-zero-denominator", "certify-fd-step-zero",
         "variation-fd-step-zero", "fd-step-negative", "eps-letters", "t-range-zero-denominator",
-        "t-range-zero", "t-range-negative"])
+        "t-range-zero", "t-range-negative", "eps-zero", "eps-negative"])
 def test_bad_numeric_flags_exit_2(argv, tmp_path):
     code, err = run_cli(argv, tmp_path)
     assert code == 2

@@ -15,7 +15,7 @@ from isodecomp.decomp import (
     threshold_check,
 )
 from isodecomp import decomp
-from isodecomp.errors import GroupTooLarge, InternalCheckFailed, NotASymmetry
+from isodecomp.errors import GroupTooLarge, InternalCheckFailed, NotASymmetry, PreconditionError
 from isodecomp.exactnum import Matrix, determinant, dot
 from isodecomp.polytope import affine_image, hull_facets, minkowski_sum, polar, scale, translate
 from isodecomp.variations import eps_bound
@@ -228,3 +228,10 @@ def test_summand_pair_rejects_large_eps(hexagon):
     g = (F(1), F(0), F(0), F(0), F(0), F(0))
     with pytest.raises(EpsilonTooLarge):
         summand_pair(hexagon, g, 100 * eps_bound(hexagon, g))
+
+
+def test_summand_pair_rejects_nonpositive_eps(hexagon):
+    g = (F(1), F(0), F(0), F(0), F(0), F(0))
+    for eps in (F(0), F(-1, 4)):
+        with pytest.raises(PreconditionError, match="eps must be positive"):
+            summand_pair(hexagon, g, eps)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from isodecomp.errors import (
 )
 from isodecomp.polytope import (
     Facet,
+    _check_structure,
     affine_image,
     from_json_dict,
     gauge_value,
@@ -213,3 +215,95 @@ def test_segment_dimension_one():
     seg = hull_facets([(F(-1),), (F(2),), (F(0),)])
     assert seg.dim == 1
     assert len(seg.vertices) == 2 and len(seg.facets) == 2
+
+
+def _lattice_cloud(rng, n, npts, bound=3):
+    """Random lattice points with some repeated and with the origin (interior
+    when the cloud surrounds it)."""
+    pts = [tuple(rng.randrange(-bound, bound + 1) for _ in range(n)) for _ in range(npts)]
+    return pts + pts[:3] + [(0,) * n]
+
+
+def _symmetric_cloud(rng, n, npairs, bound=3):
+    half = [tuple(F(rng.randrange(-bound, bound + 1), rng.randrange(1, 4)) for _ in range(n))
+            for _ in range(npairs)]
+    return half + [tuple(-x for x in p) for p in half]
+
+
+def _wide_denominator_cloud(rng, n, npts):
+    """Coordinates with mixed denominators of up to 64 bits."""
+    return [tuple(F(rng.randrange(-2 ** 64, 2 ** 64), rng.choice([1, 3, rng.randrange(1, 2 ** 64)]))
+                  for _ in range(n)) for _ in range(npts)]
+
+
+def _cube_with_midpoints(n, face_dims):
+    """Vertices of [-2, 2]^n plus the centers of its faces of the given
+    dimensions: boundary points that are not vertices, and the interior
+    origin when n is among them."""
+    pts = []
+    for signs in itertools.product((-2, 0, 2), repeat=n):
+        if sum(1 for x in signs if x == 0) in (0,) + tuple(face_dims):
+            pts.append(signs)
+    return pts
+
+
+def _minkowski_cloud(ps, qs):
+    return [tuple(a + b for a, b in zip(p, q)) for p in ps for q in qs]
+
+
+def _flat_cloud(rng, n, npts):
+    """Points inside a hyperplane through a rational point."""
+    normal = [rng.randrange(1, 4) for _ in range(n)]
+    pts = []
+    for _ in range(npts):
+        x = [F(rng.randrange(-3, 4)) for _ in range(n - 1)]
+        last = (F(1, 2) - sum(a * b for a, b in zip(normal, x))) / normal[-1]
+        pts.append(tuple(x) + (last,))
+    return pts
+
+
+HULL_ORACLE_CASES = {
+    "lattice3-%d" % s: (lambda s=s: _lattice_cloud(random.Random(s), 3, 12)) for s in range(4)
+} | {
+    "lattice4-%d" % s: (lambda s=s: _lattice_cloud(random.Random(s), 4, 9)) for s in range(3)
+} | {
+    "cube3-face-midpoints": lambda: _cube_with_midpoints(3, (2, 3)) + [(0, 2, -2), (2, 0, 2)],
+    "cube4-face-midpoints": lambda: _cube_with_midpoints(4, ())
+    + [(0, 0, 0, 2), (-2, 0, 0, 0), (0, 0, -2, 2), (2, 0, 2, -2)],
+    "cube4": lambda: list(itertools.product((-1, 1), repeat=4)),
+    "24-cell": lambda: sorted({p for s in set(itertools.permutations((1, 1, 0, 0)))
+                               for p in itertools.product(*[(x, -x) if x else (0,) for x in s])}),
+    "symmetric3": lambda: _symmetric_cloud(random.Random(7), 3, 6),
+    "symmetric4": lambda: _symmetric_cloud(random.Random(8), 4, 5),
+    "wide-denominators3": lambda: _wide_denominator_cloud(random.Random(9), 3, 9),
+    "wide-denominators4": lambda: _wide_denominator_cloud(random.Random(10), 4, 8),
+    "minkowski3": lambda: _minkowski_cloud(
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
+        [(0, 0, 0), (-1, -1, 0), (F(1, 2), -1, 1), (0, 1, -1)]),
+    "minkowski4": lambda: _minkowski_cloud(
+        [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+        [(0, 0, 0, 0), (1, 1, 1, 1), (F(-1, 3), 0, 1, 0)]),
+    "flat3": lambda: _flat_cloud(random.Random(11), 3, 8),
+    "flat4": lambda: _flat_cloud(random.Random(12), 4, 8),
+    "equal-points": lambda: [(1, 2, 3)] * 4,
+    "zero-dimensional": lambda: [()],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HULL_ORACLE_CASES))
+def test_hull_matches_fraction_oracle(case):
+    """hull_facets equals the Fraction enumeration it replaced, body for body
+    or exception type for exception type, with and without the structure
+    check.  The oracle's check=True is its check=False body passed through
+    _check_structure, so the enumeration runs once per case."""
+    pts = HULL_ORACLE_CASES[case]()
+    try:
+        expected = support.hull_facets_by_fractions(pts, check=False)
+        _check_structure(expected)
+    except ValidationError as exc:
+        for check in (False, True):
+            with pytest.raises(type(exc)):
+                hull_facets(pts, check=check)
+        return
+    for check in (False, True):
+        assert hull_facets(pts, check=check) == expected
