@@ -17,7 +17,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from . import decomp, moments, polytope, variations
@@ -294,22 +294,32 @@ def render_maximizer_text(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# fast exact 2-D path for the quasi-convexity search
+# exact 2-D path for the quasi-convexity search, in integers
+#
+# A search polygon is a pair (pts, s): integer vertex tuples in
+# counterclockwise order and a positive integer scale s, standing for the
+# polygon with vertices pts/s.  A positive scale keeps the lexicographic
+# order, the duplicates and the orientation of the points, so
+# `polytope.convex_hull_2d` on pts returns the same vertex list as on
+# pts/s.  `_reduced` divides out the gcd of s and all coordinates, so
+# equal polygons in the same vertex order have equal pairs.
 
-def _polygon_sums(ccw):
-    """Integer shoelace sums of a polygon given in cyclic order.
+def _reduced(pts, s):
+    g = gcd(s, *(x for p in pts for x in p))
+    if g == 1:
+        return pts, s
+    return [(x // g, y // g) for x, y in pts], s // g
 
-    The vertices are scaled by the LCM `d` of their coordinate
-    denominators to integer points; over the edges (p, q) of the scaled
-    polygon, with det = p0 q1 - p1 q0, the sums are a = sum det,
-    b_i = sum det (p_i + q_i) and c_ij = sum det (2 p_i p_j + 2 q_i q_j
-    + p_i q_j + p_j q_i).  The signed origin-fan moments of the scaled
-    polygon are vol = a/2, int x_i = b_i/6 and int x_i x_j = c_ij/24.
-    Returns (d, a, b0, b1, c00, c01, c11).
+
+def _polygon_sums(pts):
+    """Integer shoelace sums of integer vertices in cyclic order.
+
+    Over the edges (p, q), with det = p0 q1 - p1 q0, the sums are
+    a = sum det, b_i = sum det (p_i + q_i) and c_ij = sum det (2 p_i p_j
+    + 2 q_i q_j + p_i q_j + p_j q_i).  The signed origin-fan moments of
+    the polygon pts are vol = a/2, int x_i = b_i/6 and int x_i x_j =
+    c_ij/24.  Returns (a, b0, b1, c00, c01, c11).
     """
-    d = lcm(*(x.denominator for p in ccw for x in p))
-    pts = [(p[0].numerator * (d // p[0].denominator), p[1].numerator * (d // p[1].denominator))
-           for p in ccw]
     a = b0 = b1 = c00 = c01 = c11 = 0
     px, py = pts[-1]
     for qx, qy in pts:
@@ -321,70 +331,97 @@ def _polygon_sums(ccw):
         c01 += det * (2 * px * py + 2 * qx * qy + px * qy + py * qx)
         c11 += det * (py * py + py * qy + qy * qy)
         px, py = qx, qy
-    return d, a, b0, b1, 2 * c00, c01, 2 * c11
+    return a, b0, b1, 2 * c00, c01, 2 * c11
 
 
-def _polygon_l2n(ccw):
-    """L^(2n) = det(cov)/vol^2, which does not change under scaling: with
-    the sums of `_polygon_sums`, cov_ij = (3 a c_ij - 4 b_i b_j)/(36 a^2)
-    and vol = a/2 in the scaled frame."""
-    _, a, b0, b1, c00, c01, c11 = _polygon_sums(ccw)
+def _polygon_l2n(poly):
+    """L^(2n) = det(cov)/vol^2 as the unreduced pair (num, den), den > 0.
+
+    It does not change under scaling, so the sums of `_polygon_sums` on
+    pts serve: cov_ij = (3 a c_ij - 4 b_i b_j)/(36 a^2) and vol = a/2
+    give num/den = (s00 s11 - s01^2)/(324 a^6) with s_ij = 3 a c_ij -
+    4 b_i b_j.
+    """
+    a, b0, b1, c00, c01, c11 = _polygon_sums(poly[0])
     s00 = 3 * a * c00 - 4 * b0 * b0
     s11 = 3 * a * c11 - 4 * b1 * b1
     s01 = 3 * a * c01 - 4 * b0 * b1
-    return Fraction(s00 * s11 - s01 * s01, 324 * a ** 6)
+    return s00 * s11 - s01 * s01, 324 * a ** 6
 
 
-def _polygon_center(ccw):
-    """Translate the polygon by minus its centroid c_i = b_i/(3 a d)."""
-    d, a, b0, b1, *_ = _polygon_sums(ccw)
-    c = (Fraction(b0, 3 * a * d), Fraction(b1, 3 * a * d))
-    return [(p[0] - c[0], p[1] - c[1]) for p in ccw]
+def _polygon_center(poly):
+    """Translate the polygon by minus its centroid b/(3 a s): the vertex
+    p/s becomes (3 a p - b)/(3 a s), with a > 0 for counterclockwise
+    order."""
+    pts, s = poly
+    a, b0, b1, *_ = _polygon_sums(pts)
+    t = 3 * a
+    return _reduced([(t * x - b0, t * y - b1) for x, y in pts], t * s)
 
 
-def _polygon_polar(ccw):
-    """Polar polygon, cyclic order; needs the origin strictly inside."""
-    out = []
-    m = len(ccw)
-    for k in range(m):
-        p, q = ccw[k], ccw[(k + 1) % m]
-        nx, ny = q[1] - p[1], p[0] - q[0]
-        b = nx * p[0] + ny * p[1]
+def _polygon_polar(poly):
+    """Polar of the integer polygon pts, in cyclic order, or None unless
+    the origin is strictly inside.
+
+    Edge (p, q) has the integer outer normal n = (q1 - p1, p0 - q0) and
+    offset b = n.p, and its polar vertex is n/b; the vertices are put
+    over the lcm of the offsets.  This is 1/s times the polar of pts/s,
+    and L^(2n) does not see the factor.
+    """
+    pts = poly[0]
+    rows = []
+    px, py = pts[0]
+    for qx, qy in pts[1:] + pts[:1]:
+        nx, ny = qy - py, px - qx
+        b = nx * px + ny * py
         if b <= 0:
             return None
-        out.append((nx / b, ny / b))
-    return out
+        rows.append((nx, ny, b))
+        px, py = qx, qy
+    d = lcm(*(b for _, _, b in rows))
+    return _reduced([(nx * (d // b), ny * (d // b)) for nx, ny, b in rows], d)
 
 
 def _random_points(rng: random.Random, cfg: RunConfig, k: int):
+    """k points on rays of rational slope, as one pair (pts, s).
+
+    With the denominator bound d, each point draws a in [-d, d], a sign,
+    p in 1..8 and q in 1..3, and is sign p (d^2 - a^2, 2 a d) / (q (d^2 +
+    a^2)): the radius p/q on the circle point of the half-angle chart at
+    a/d.  The points are put over the lcm of their denominators.
+    """
     d = cfg.denominator_bound
-    pts = []
+    draws = []
     for _ in range(k):
-        s = Fraction(rng.randrange(-d, d + 1), d)
+        a = rng.randrange(-d, d + 1)
         sign = 1 if rng.getrandbits(1) else -1
-        den = 1 + s * s
-        direction = (sign * (1 - s * s) / den, sign * 2 * s / den)
-        radius = Fraction(rng.randrange(1, 9), rng.randrange(1, 4))
-        pts.append((radius * direction[0], radius * direction[1]))
-    return pts
+        p = sign * rng.randrange(1, 9)
+        q = rng.randrange(1, 4)
+        draws.append((p * (d * d - a * a), p * 2 * a * d, q * (d * d + a * a)))
+    s = lcm(*(den for _, _, den in draws))
+    return [(x * (s // den), y * (s // den)) for x, y, den in draws], s
 
 
 def _random_polygon(rng: random.Random, cfg: RunConfig):
     kmin, kmax = cfg.vertex_range
     while True:
         k = rng.randrange(kmin, kmax + 1)
-        hull = polytope.convex_hull_2d(_random_points(rng, cfg, k))
+        pts, s = _random_points(rng, cfg, k)
+        hull = polytope.convex_hull_2d(pts)
         if len(hull) >= 3:
-            return _polygon_center(hull)
+            return _polygon_center((hull, s))
 
 
-def _cut_corner(ccw, idx: int, depth: Fraction):
-    """Replace vertex idx by two points at fractional depth along its edges."""
-    m = len(ccw)
-    a, b, c = ccw[idx], ccw[(idx + 1) % m], ccw[(idx - 1) % m]
-    p1 = tuple(a[i] + depth * (b[i] - a[i]) for i in range(2))
-    p2 = tuple(a[i] + depth * (c[i] - a[i]) for i in range(2))
-    return polytope.convex_hull_2d([p1, p2] + [ccw[j] for j in range(m) if j != idx])
+def _cut_corner(poly, idx: int, r: int):
+    """Replace vertex idx by two points at depth r/32 along its edges:
+    a + (r/32)(b - a) is (32 a + r (b - a))/(32 s)."""
+    pts, s = poly
+    m = len(pts)
+    a, b, c = pts[idx], pts[(idx + 1) % m], pts[(idx - 1) % m]
+    p1 = tuple(32 * a[i] + r * (b[i] - a[i]) for i in range(2))
+    p2 = tuple(32 * a[i] + r * (c[i] - a[i]) for i in range(2))
+    rest = [(32 * x, 32 * y) for j, (x, y) in enumerate(pts) if j != idx]
+    return polytope.convex_hull_2d([p1, p2] + rest), 32 * s
 
 
 def _random_cut_triangle_pair(rng: random.Random, cfg: RunConfig):
@@ -395,15 +432,16 @@ def _random_cut_triangle_pair(rng: random.Random, cfg: RunConfig):
     these pairs carry most of the counterexample mass.
     """
     while True:
-        hull = polytope.convex_hull_2d(_random_points(rng, cfg, 3))
+        pts, s = _random_points(rng, cfg, 3)
+        hull = polytope.convex_hull_2d(pts)
         if len(hull) == 3:
             break
     # one common depth: the polar functional only dips symmetrically
-    depth = Fraction(rng.randrange(1, 9), 32)
+    r = rng.randrange(1, 9)
     out = []
     for _ in range(2):
         corner = rng.randrange(3)
-        out.append(_polygon_center(_cut_corner(hull, corner, depth)))
+        out.append(_polygon_center(_cut_corner((hull, s), corner, r)))
     return out
 
 
@@ -413,9 +451,9 @@ def _random_pair(rng: random.Random, cfg: RunConfig):
     return [_random_polygon(rng, cfg), _random_polygon(rng, cfg)]
 
 
-def _minkowski_midpoint(ccw1, ccw2):
+def _minkowski_midpoint(poly1, poly2):
     """Minkowski midpoint (K + L)/2 of two polygons by merging their edge
-    sequences in O(m + k).
+    sequences in O(m + k), over 2 lcm(s1, s2).
 
     Precondition: each polygon is counterclockwise, strictly convex and
     starts at its lexicographically smallest vertex, as every translate
@@ -427,16 +465,20 @@ def _minkowski_midpoint(ccw1, ccw2):
     vertices, with no zero-length edge: it equals `convex_hull_2d` of all
     pairwise midpoints.
     """
-    def edges(ccw):
-        return [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ccw, ccw[1:] + ccw[:1])]
+    (pts1, s1), (pts2, s2) = poly1, poly2
+    s = lcm(s1, s2)
 
-    e1, e2 = edges(ccw1), edges(ccw2)
+    def edges(pts, f):
+        return [(f * (q[0] - p[0]), f * (q[1] - p[1])) for p, q in zip(pts, pts[1:] + pts[:1])]
+
+    f1, f2 = s // s1, s // s2
+    e1, e2 = edges(pts1, f1), edges(pts2, f2)
     m, k = len(e1), len(e2)
-    x, y = ccw1[0][0] + ccw2[0][0], ccw1[0][1] + ccw2[0][1]
+    x, y = f1 * pts1[0][0] + f2 * pts2[0][0], f1 * pts1[0][1] + f2 * pts2[0][1]
     out = []
     i = j = 0
     while i < m or j < k:
-        out.append((x / 2, y / 2))
+        out.append((x, y))
         if i == m:
             cross = -1
         elif j == k:
@@ -449,7 +491,19 @@ def _minkowski_midpoint(ccw1, ccw2):
         if cross <= 0:
             x, y = x + e2[j][0], y + e2[j][1]
             j += 1
-    return out
+    return _reduced(out, 2 * s)
+
+
+def _exceeds(values) -> bool:
+    """Whether the midpoint's (num, den) pair exceeds both others;
+    denominators are positive, so the tests cross-multiply."""
+    (nk, dk), (nl, dl), (nm, dm) = values
+    return nm * dk > nk * dm and nm * dl > nl * dm
+
+
+def _vertex_strings(poly) -> list[list[str]]:
+    pts, s = poly
+    return [[str(Fraction(x, s)) for x in v] for v in pts]
 
 
 def _verify_counterexample(record: dict) -> bool:
@@ -481,24 +535,23 @@ def quasiconvex_search(cfg: RunConfig) -> dict:
         k, l = _random_pair(rng, cfg)
         mid = _minkowski_midpoint(k, l)
         candidates = []
-        l2n_k = _polygon_l2n(k)
-        l2n_l = _polygon_l2n(l)
-        l2n_m = _polygon_l2n(mid)
-        if l2n_m > max(l2n_k, l2n_l):
-            candidates.append(("direct", l2n_k, l2n_l, l2n_m))
+        values = (_polygon_l2n(k), _polygon_l2n(l), _polygon_l2n(mid))
+        if _exceeds(values):
+            candidates.append(("direct", values))
         pk = _polygon_polar(k)
         pl = _polygon_polar(l)
         pm = _polygon_polar(_polygon_center(mid))
         if pk and pl and pm:
-            p_k, p_l, p_m = _polygon_l2n(pk), _polygon_l2n(pl), _polygon_l2n(pm)
-            if p_m > max(p_k, p_l):
-                candidates.append(("polar", p_k, p_l, p_m))
-        for functional, vk, vl, vm in candidates:
+            values = (_polygon_l2n(pk), _polygon_l2n(pl), _polygon_l2n(pm))
+            if _exceeds(values):
+                candidates.append(("polar", values))
+        for functional, values in candidates:
+            vk, vl, vm = (Fraction(num, den) for num, den in values)
             record = {
                 "trial": trial,
                 "functional": functional,
-                "k_vertices": [[str(x) for x in v] for v in k],
-                "l_vertices": [[str(x) for x in v] for v in l],
+                "k_vertices": _vertex_strings(k),
+                "l_vertices": _vertex_strings(l),
                 "l2n_k": str(vk),
                 "l2n_l": str(vl),
                 "l2n_mid": str(vm),
@@ -674,7 +727,9 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if hasattr(args, "seed"):
         cfg.seed = args.seed
     if hasattr(args, "budget"):
-        cfg.budget = max(0, args.budget)
+        if args.budget < 0:
+            parser.error("--budget must be at least 0, got %d" % args.budget)
+        cfg.budget = args.budget
     if getattr(args, "vertices", None):
         try:
             lo, hi = (int(k) for k in args.vertices.split(":"))

@@ -36,8 +36,6 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import DegeneratePolytope, UnsupportedDegree
 from .exactnum import (
     Matrix,
@@ -388,8 +386,11 @@ def isotropy(p: Polytope) -> IsotropyReport:
 
     The map M with A_{M(K - c)} approximately the identity is the float
     inverse square root of the covariance, rendered by the lk report and
-    used nowhere else; the reported residual is max |M A M^T - I|.
+    used nowhere else; the reported residual is max |M A M^T - I|.  numpy
+    is imported here, so importing the package does not load it.
     """
+    import numpy as np
+
     md = body_moments(p)
     cov = md.covariance()
     l2n = md.l_pow_2n()

@@ -156,6 +156,151 @@ def hull_midpoint(ccw1, ccw2):
     return convex_hull_2d(sums)
 
 
+# ---------------------------------------------------------------------------
+# Fraction oracle for the planar quasi-convexity search: the search's
+# draws and polygon steps with every vertex a Fraction tuple, polygons as
+# counterclockwise vertex lists.
+
+def _polygon_l2n(ccw) -> Fraction:
+    """L^(2n) = det(cov)/vol^2 from the Fraction shoelace sums."""
+    a = b0 = b1 = c00 = c01 = c11 = Fraction(0)
+    p = ccw[-1]
+    for q in ccw:
+        det = p[0] * q[1] - p[1] * q[0]
+        a += det
+        b0 += det * (p[0] + q[0])
+        b1 += det * (p[1] + q[1])
+        c00 += det * 2 * (p[0] * p[0] + p[0] * q[0] + q[0] * q[0])
+        c01 += det * (2 * p[0] * p[1] + 2 * q[0] * q[1] + p[0] * q[1] + p[1] * q[0])
+        c11 += det * 2 * (p[1] * p[1] + p[1] * q[1] + q[1] * q[1])
+        p = q
+    vol = a / 2
+    m = (b0 / 6 / vol, b1 / 6 / vol)
+    cov = [[c / 24 / vol - m[i] * m[j] for j, c in enumerate(row)]
+           for i, row in enumerate(((c00, c01), (c01, c11)))]
+    return (cov[0][0] * cov[1][1] - cov[0][1] * cov[1][0]) / (vol * vol)
+
+
+def _polygon_center(ccw):
+    """Translate the polygon by minus its centroid."""
+    a = b0 = b1 = Fraction(0)
+    p = ccw[-1]
+    for q in ccw:
+        det = p[0] * q[1] - p[1] * q[0]
+        a += det
+        b0 += det * (p[0] + q[0])
+        b1 += det * (p[1] + q[1])
+        p = q
+    c = (b0 / (3 * a), b1 / (3 * a))
+    return [(p[0] - c[0], p[1] - c[1]) for p in ccw]
+
+
+def _polygon_polar(ccw):
+    """Polar polygon, cyclic order; None unless the origin is strictly inside."""
+    out = []
+    m = len(ccw)
+    for k in range(m):
+        p, q = ccw[k], ccw[(k + 1) % m]
+        nx, ny = q[1] - p[1], p[0] - q[0]
+        b = nx * p[0] + ny * p[1]
+        if b <= 0:
+            return None
+        out.append((nx / b, ny / b))
+    return out
+
+
+def _random_points(rng: random.Random, cfg, k: int):
+    d = cfg.denominator_bound
+    pts = []
+    for _ in range(k):
+        s = Fraction(rng.randrange(-d, d + 1), d)
+        sign = 1 if rng.getrandbits(1) else -1
+        den = 1 + s * s
+        direction = (sign * (1 - s * s) / den, sign * 2 * s / den)
+        radius = Fraction(rng.randrange(1, 9), rng.randrange(1, 4))
+        pts.append((radius * direction[0], radius * direction[1]))
+    return pts
+
+
+def _random_polygon(rng: random.Random, cfg):
+    kmin, kmax = cfg.vertex_range
+    while True:
+        k = rng.randrange(kmin, kmax + 1)
+        hull = convex_hull_2d(_random_points(rng, cfg, k))
+        if len(hull) >= 3:
+            return _polygon_center(hull)
+
+
+def _cut_corner(ccw, idx: int, depth: Fraction):
+    m = len(ccw)
+    a, b, c = ccw[idx], ccw[(idx + 1) % m], ccw[(idx - 1) % m]
+    p1 = tuple(a[i] + depth * (b[i] - a[i]) for i in range(2))
+    p2 = tuple(a[i] + depth * (c[i] - a[i]) for i in range(2))
+    return convex_hull_2d([p1, p2] + [ccw[j] for j in range(m) if j != idx])
+
+
+def _random_cut_triangle_pair(rng: random.Random, cfg):
+    while True:
+        hull = convex_hull_2d(_random_points(rng, cfg, 3))
+        if len(hull) == 3:
+            break
+    depth = Fraction(rng.randrange(1, 9), 32)
+    return [_polygon_center(_cut_corner(hull, rng.randrange(3), depth)) for _ in range(2)]
+
+
+def _random_pair(rng: random.Random, cfg):
+    if rng.randrange(100) == 0:
+        return _random_cut_triangle_pair(rng, cfg)
+    return [_random_polygon(rng, cfg), _random_polygon(rng, cfg)]
+
+
+def _minkowski_midpoint(ccw1, ccw2):
+    """Edge merge of two counterclockwise polygons that start at their
+    lexicographically smallest vertices, in Fractions."""
+    def edges(ccw):
+        return [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ccw, ccw[1:] + ccw[:1])]
+
+    e1, e2 = edges(ccw1), edges(ccw2)
+    x, y = ccw1[0][0] + ccw2[0][0], ccw1[0][1] + ccw2[0][1]
+    out = []
+    i = j = 0
+    while i < len(e1) or j < len(e2):
+        out.append((x / 2, y / 2))
+        if i == len(e1):
+            cross = -1
+        elif j == len(e2):
+            cross = 1
+        else:
+            cross = e1[i][0] * e2[j][1] - e1[i][1] * e2[j][0]
+        if cross >= 0:
+            x, y = x + e1[i][0], y + e1[i][1]
+            i += 1
+        if cross <= 0:
+            x, y = x + e2[j][0], y + e2[j][1]
+            j += 1
+    return out
+
+
+def search_trial_by_fractions(cfg, trial: int, cut_pair: bool = False) -> dict:
+    """Test oracle for one trial of cli.quasiconvex_search, in Fractions.
+
+    Draws the pair from the trial's seeded generator (with cut_pair, a
+    corner-cut triangle pair from the same generator, as if the 1% draw
+    had chosen it) and returns the vertices of k, l and their Minkowski
+    midpoint, the L^(2n) of the three bodies, and that of the polars of
+    k, l and the centred midpoint, None for a rejected polar.
+    """
+    rng = random.Random(cfg.seed * 1_000_003 + trial)
+    k, l = _random_cut_triangle_pair(rng, cfg) if cut_pair else _random_pair(rng, cfg)
+    mid = _minkowski_midpoint(k, l)
+    polars = (_polygon_polar(k), _polygon_polar(l), _polygon_polar(_polygon_center(mid)))
+    return {
+        "k": k, "l": l, "mid": mid,
+        "l2n": tuple(_polygon_l2n(p) for p in (k, l, mid)),
+        "polar_l2n": tuple(None if p is None else _polygon_l2n(p) for p in polars),
+    }
+
+
 def _face_simplices(body: Polytope, face: frozenset, k: int) -> list[tuple[int, ...]]:
     """Pulling triangulation of a k-face (a set of vertex indices): its
     smallest vertex coned over the triangulated (k-1)-faces missing it.

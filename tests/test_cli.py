@@ -203,7 +203,8 @@ def test_low_dimensional_body_exits_cleanly(data, argv, code, message, tmp_path)
     ["--vertices", "8:3"],
     ["--vertices", "3"],
     ["--denominator-bound", "0"],
-], ids=["two-vertices", "reversed", "no-colon", "zero-bound"])
+    ["--budget=-5"],
+], ids=["two-vertices", "reversed", "no-colon", "zero-bound", "negative-budget"])
 def test_bad_search_flags_exit_2(flags, tmp_path):
     code, err = run_cli(["quasiconvex-search", "--budget", "1"] + flags, tmp_path)
     assert code == 2
@@ -221,11 +222,11 @@ ONES_4 = json.dumps(["1"] * 4)
     ["certify", HEXAGON_FILE, "--fd-step", "1/0"],
     ["certify", HEXAGON_FILE, "--fd-step", "0"],
     ["variation", SQUARE_FILE, "--speed", ONES_4, "--fd-step", "0"],
-    ["variation", SQUARE_FILE, "--speed", ONES_4, "--fd-step", "-1/1000"],
+    ["variation", SQUARE_FILE, "--speed", ONES_4, "--fd-step=-1/1000"],
     ["summands", SQUARE_FILE, "--speed", ONES_4, "--eps", "abc"],
     ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "1/0"],
     ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "0"],
-    ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range", "-1/4"],
+    ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range=-1/4"],
     ["summands", SQUARE_FILE, "--speed", '["1", "2", "1", "2"]', "--eps", "0"],
     ["summands", SQUARE_FILE, "--speed", '["1", "2", "1", "2"]', "--eps=-1/4"],
 ], ids=["fd-step-letters", "fd-step-zero-denominator", "certify-fd-step-zero",
@@ -235,6 +236,8 @@ def test_bad_numeric_flags_exit_2(argv, tmp_path):
     code, err = run_cli(argv, tmp_path)
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+    if argv[-1].startswith(("--fd-step=-", "--t-range=-", "--eps=-")):
+        assert "must be positive" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,6 +265,23 @@ def test_bad_direction_exit_3(argv, tmp_path):
     code, err = run_cli(argv, tmp_path)
     assert code == 3
     assert "precondition error" in err and "Traceback" not in err
+
+
+def test_search_budget_zero_is_legal(tmp_path):
+    code, report = run_json(["quasiconvex-search", "--budget", "0"], tmp_path)
+    assert code == 0
+    assert report["budget"] == 0 and report["counterexamples"] == []
+
+
+def test_cli_import_loads_no_numpy():
+    """numpy serves only the float isotropizing map of the lk report and is
+    imported there; importing the CLI must not load it."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(isodecomp.__file__)))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, isodecomp.cli; print('numpy' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_python_m_isodecomp(tmp_path):
@@ -302,10 +322,10 @@ def test_quasiconvex_identical_bodies_never_counterexample():
     # midpoint of (K, K) is K exactly: the margin is zero, never strict
     from isodecomp.cli import _minkowski_midpoint, _polygon_center, _polygon_l2n
 
-    k = _polygon_center(polytope.convex_hull_2d(
-        [(F(2), F(-1)), (F(-1), F(2)), (F(-1), F(-1)), (F(1), F(1))]))
+    k = _polygon_center((polytope.convex_hull_2d([(2, -1), (-1, 2), (-1, -1), (1, 1)]), 1))
     mid = _minkowski_midpoint(k, k)
-    assert _polygon_l2n(mid) == _polygon_l2n(k)
+    assert mid == k
+    assert F(*_polygon_l2n(mid)) == F(*_polygon_l2n(k))
 
 
 def test_cli_env_precision_override(monkeypatch, body_file, tmp_path, standard_triangle):
