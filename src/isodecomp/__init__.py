@@ -36,12 +36,10 @@ from .polytope import (
 )
 from .variations import (
     DerivativeReport,
-    RadialFamily,
     ShadowSystem,
     boundary_first_derivatives,
     boundary_second_derivatives,
     eps_bound,
-    finite_difference_oracle,
     gap_integral,
     kernel_direction,
     lk_second_derivative,

@@ -11,7 +11,11 @@ w_0, ..., w_d:
         prod_{B in pi} (|B|-1)! * sum_v prod_{t in B} l_t(w_v),
 
 so a factor enters only through its values at the vertices.  Facets are
-triangulated into (n-1)-simplices; one inside the hyperplane <a, x> = b has
+triangulated into (n-1)-simplices by pulling on P's own vertex-facet
+incidences: each face is coned from its smallest vertex index over the
+faces one dimension down that miss it.  Every integral here is a sum
+over any triangulation of the facet, so the choice of apex changes no
+value.  A simplex inside the hyperplane <a, x> = b has
 
     vol_{n-1}(S) = |det[w_1-w_0, ..., w_{n-1}-w_0, a]| / ((n-1)! * |a|),
 
@@ -37,21 +41,9 @@ from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegeneratePolytope, UnsupportedDegree
-from .exactnum import (
-    Matrix,
-    Vec,
-    determinant,
-    dot,
-    inverse,
-    rat,
-    rref_rank,
-    vec,
-    vsub,
-)
-from .polytope import Facet, Polytope, _affine_rank, hull_facets
+from .exactnum import Matrix, Vec, determinant, dot, rat, vec, vsub
+from .polytope import Facet, Polytope, _subfaces
 
-Point = Vec
-Simplex = tuple[Point, ...]
 # sparse polynomial: exponent tuple (length n) -> rational coefficient
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -143,46 +135,15 @@ def simplex_monomial_integral(s: Sequence[Sequence], alpha: Sequence[int]) -> Fr
 # ---------------------------------------------------------------------------
 # facet triangulation
 
-def _triangulate_convex_points(points: Sequence[Point]) -> list[Simplex]:
-    """Triangulate the convex hull of points in convex position.
-
-    Fans from the lexicographically smallest point; recursion on the
-    hull facets runs in exact affine chart coordinates.
-    """
-    pts = sorted(set(points))
-    k = _affine_rank(pts)
-    if len(pts) == k + 1:
-        return [tuple(pts)]
-    n = len(pts[0])
-    base = pts[0]
-    basis_rows: list[Vec] = []
-    r = 0
-    for p in pts[1:]:
-        d = vsub(p, base)
-        cand = basis_rows + [d]
-        rk = rref_rank(Matrix.from_rows(cand, n))[1]
-        if rk > r:
-            basis_rows.append(d)
-            r = rk
-        if r == k:
-            break
-    b = Matrix.from_rows(basis_rows, n)
-    ginv = inverse(b.matmul(b.transpose()))
-
-    def chart(p: Point) -> Point:
-        return ginv.matvec(b.matvec(vsub(p, base)))
-
-    back = {chart(p): p for p in pts}
-    body = hull_facets(list(back.keys()), check=False)
-    apex = chart(base)
-    simplices: list[Simplex] = []
-    for f in body.facets:
-        fverts = [body.vertices[i] for i in f.vertex_indices]
-        if apex in fverts:
-            continue
-        for piece in _triangulate_convex_points(fverts):
-            simplices.append(tuple(back[q] for q in (apex,) + piece))
-    return simplices
+def _pulled_simplices(p: Polytope, face: frozenset[int], k: int) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a k-face of P, as vertex-index tuples: its
+    smallest vertex index coned over the triangulated (k-1)-faces that
+    miss it."""
+    if len(face) == k + 1:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    return [(apex,) + s for sub in _subfaces(p, face, k) if apex not in sub
+            for s in _pulled_simplices(p, sub, k - 1)]
 
 
 def _facet_index(p: Polytope, facet) -> int:
@@ -195,16 +156,21 @@ def _facet_index(p: Polytope, facet) -> int:
 
 @lru_cache(maxsize=4096)
 def _facet_raw_table(p: Polytope, fi: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
-    """The (n-1)-simplices of a triangulation of facet fi, each as
-    (|det[diffs, a]| / (n-1)! = vol_{n-1}(S) * |a|, indices of its vertices in P)."""
+    """The (n-1)-simplices of facet fi pulled from P's incidences, each as
+    (|det[diffs, a]| / (n-1)! = vol_{n-1}(S) * |a|, indices of its vertices in P).
+
+    The facet is coned from its smallest vertex index (its
+    lexicographically smallest vertex, since vertices are sorted) over
+    the pulled triangulations of the ridges that miss it, and so on down
+    (`polytope._subfaces`)."""
     f = p.facets[fi]
     n = p.dim
-    index = {v: i for i, v in enumerate(p.vertices)}
     pieces = []
-    for s in _triangulate_convex_points([p.vertices[i] for i in f.vertex_indices]):
-        rows = [vsub(q, s[0]) for q in s[1:]] + [f.normal]
+    for idx in _pulled_simplices(p, frozenset(f.vertex_indices), n - 1):
+        base = p.vertices[idx[0]]
+        rows = [vsub(p.vertices[i], base) for i in idx[1:]] + [f.normal]
         measure = abs(determinant(Matrix.from_rows(rows, n))) / factorial(n - 1)
-        pieces.append((measure, tuple(index[q] for q in s)))
+        pieces.append((measure, idx))
     return tuple(pieces)
 
 

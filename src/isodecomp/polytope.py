@@ -112,6 +112,25 @@ def _affine_rank(points: Sequence[Point]) -> int:
     return rref_rank(m)[1]
 
 
+def _subfaces(p: Polytope, face: frozenset[int], k: int) -> list[frozenset[int]]:
+    """The (k-1)-faces of a k-face of P, as sets of vertex indices.
+
+    Every face of P is the intersection of the facets containing it, so
+    the facets of a face are exactly its intersections with P's facets
+    that have affine rank k-1.
+    """
+    seen: set[frozenset[int]] = set()
+    out = []
+    for f in p.facets:
+        sub = face.intersection(f.vertex_indices)
+        if len(sub) < k or sub in seen:
+            continue
+        seen.add(sub)
+        if _affine_rank([p.vertices[i] for i in sorted(sub)]) == k - 1:
+            out.append(sub)
+    return out
+
+
 def validate(vertices: Sequence[Sequence], facets: Sequence[tuple | Facet]) -> Polytope:
     """Check every polytope invariant exactly and return the canonical body.
 

@@ -36,7 +36,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
 )
-from .exactnum import Matrix, Vec, dot, inverse, is_zero_vec, kernel_basis, rat, rref_rank, solve, vec
+from .exactnum import Matrix, Vec, dot, inverse, is_zero_vec, kernel_basis, rat, solve, vec
 from .moments import (
     MomentData,
     body_moments,
@@ -45,18 +45,9 @@ from .moments import (
     facet_moment,
     l_pow_2n,
 )
-from .polytope import Polytope, hull_facets, validate
+from .polytope import Polytope, _subfaces, hull_facets, validate
 
 DEFAULT_FD_STEP = Fraction(1, 1000)
-
-
-@dataclass(frozen=True)
-class RadialFamily:
-    """Base body plus a facewise affine speed, valid on [-eps, eps]."""
-
-    base: Polytope
-    speed: Vec
-    eps: Fraction
 
 
 @dataclass(frozen=True)
@@ -152,11 +143,6 @@ def eps_bound(p: Polytope, g: Vec) -> Fraction:
     if not candidates:
         return Fraction(1)
     return min(min(candidates), Fraction(1))
-
-
-def radial_family(p: Polytope, g: Sequence) -> RadialFamily:
-    g = _check_speed(p, g)
-    return RadialFamily(p, g, eps_bound(p, g))
 
 
 def radial_polytope(p: Polytope, g: Sequence, t: Fraction) -> Polytope:
@@ -385,31 +371,6 @@ def _richardson(p: Polytope, g: Vec, h: Fraction):
     return first, second
 
 
-def _quantity_value(md: MomentData, quantity) -> Fraction:
-    if quantity == "vol":
-        return md.volume
-    if quantity == "x2":
-        return md.norm2_integral()
-    if quantity == "l2n":
-        return md.l_pow_2n()
-    if isinstance(quantity, tuple) and quantity and quantity[0] == "x":
-        return md.first_moments[quantity[1]]
-    if isinstance(quantity, tuple) and quantity and quantity[0] == "xx":
-        return md.second_moments.rows[quantity[1]][quantity[2]]
-    raise ValueError("unknown quantity %r" % (quantity,))
-
-
-def finite_difference_oracle(p: Polytope, g: Sequence, quantity,
-                             h: Fraction = DEFAULT_FD_STEP) -> float:
-    """Richardson-extrapolated central difference of an exact quantity
-    along the radial family; the independent check of the facet formulas.
-
-    quantity is one of "vol", "x2", "l2n", ("x", i), ("xx", i, j).
-    """
-    first, _ = _richardson(p, _check_speed(p, g), h)
-    return float(first(lambda md: _quantity_value(md, quantity)))
-
-
 def finite_difference_report(p: Polytope, g: Sequence,
                              h: Fraction = DEFAULT_FD_STEP) -> DerivativeReport:
     """All first derivatives (and second, for vol, x x^T and |x|^2) by
@@ -461,15 +422,12 @@ def shadow_polytope(s: ShadowSystem, t: Fraction) -> Polytope:
 
 
 def _edges(p: Polytope) -> list[tuple[int, int]]:
-    n = p.dim
-    out = []
-    for i in range(len(p.vertices)):
-        for j in range(i + 1, len(p.vertices)):
-            shared = [f.normal for f in p.facets
-                      if i in f.vertex_indices and j in f.vertex_indices]
-            if len(shared) >= n - 1 and rref_rank(Matrix.from_rows(shared, n))[1] == n - 1:
-                out.append((i, j))
-    return out
+    """Vertex-index pairs of P's edges: its facets' faces, taken down to
+    dimension 1 (`polytope._subfaces`)."""
+    faces = {frozenset(f.vertex_indices) for f in p.facets}
+    for k in range(p.dim - 1, 1, -1):
+        faces = {sub for face in faces for sub in _subfaces(p, face, k)}
+    return sorted(tuple(sorted(e)) for e in faces)
 
 
 def rs_speed_space(p: Polytope, u: Sequence) -> int:

@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import factorial
+from typing import Sequence
 
 from isodecomp.decomp import facewise_affine_space
 from isodecomp.errors import NotFullDimensional
-from isodecomp.exactnum import Matrix, determinant, dot, kernel_basis, rref_rank, vec, vsub
+from isodecomp.exactnum import (
+    Matrix,
+    Vec,
+    determinant,
+    dot,
+    inverse,
+    kernel_basis,
+    rref_rank,
+    vec,
+    vsub,
+)
 from isodecomp.moments import MomentData, body_moments, facet_moment
 from isodecomp.polytope import (
     Polytope,
@@ -18,11 +30,21 @@ from isodecomp.polytope import (
     _check_structure,
     _hull_1d,
     _hull_2d,
+    affine_image,
     convex_hull_2d,
     hull_facets,
     translate,
 )
-from isodecomp.variations import DerivativeReport, eps_bound
+from isodecomp.variations import (
+    DEFAULT_FD_STEP,
+    DerivativeReport,
+    _check_speed,
+    _richardson,
+    eps_bound,
+)
+
+Point = Vec
+Simplex = tuple[Point, ...]
 
 
 def cube(n: int) -> Polytope:
@@ -58,6 +80,45 @@ def triangle_origin() -> Polytope:
 
 def standard_triangle() -> Polytope:
     return hull_facets([(0, 0), (1, 0), (0, 1)])
+
+
+@lru_cache(maxsize=None)
+def hexagonal_prism() -> Polytope:
+    """The hexagon times [-1, 1]: two 6-vertex and six 4-vertex facets."""
+    return hull_facets([v + (z,) for v in hexagon().vertices for z in (-1, 1)])
+
+
+@lru_cache(maxsize=None)
+def cube4() -> Polytope:
+    return cube(4)
+
+
+@lru_cache(maxsize=None)
+def cell24() -> Polytope:
+    """The 24-cell: the permutations of (+-1, +-1, 0, 0), 24 octahedral facets."""
+    pts = set()
+    for i, j in combinations(range(4), 2):
+        for a, b in product((-1, 1), repeat=2):
+            v = [0] * 4
+            v[i], v[j] = a, b
+            pts.add(tuple(v))
+    return hull_facets(sorted(pts))
+
+
+def nonsimplicial_bodies() -> list[Polytope]:
+    return [hexagonal_prism(), cube4(), cell24()]
+
+
+def shear_frame(n: int):
+    """A fixed rational frame (m, c), x -> m x + c with m unipotent upper
+    triangular, that reorders the vertices of the bodies above."""
+    m = [[Fraction(1) if i == j else Fraction(i - j, j + 1) if j > i else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    return m, [Fraction(1, 2 + i) for i in range(n)]
+
+
+def sheared(body: Polytope) -> Polytope:
+    return affine_image(body, *shear_frame(body.dim))
 
 
 def random_polytope(rng: random.Random, n: int, npts: int, bound: int = 4,
@@ -301,28 +362,52 @@ def search_trial_by_fractions(cfg, trial: int, cut_pair: bool = False) -> dict:
     }
 
 
-def _face_simplices(body: Polytope, face: frozenset, k: int) -> list[tuple[int, ...]]:
-    """Pulling triangulation of a k-face (a set of vertex indices): its
-    smallest vertex coned over the triangulated (k-1)-faces missing it.
-    Those are the intersections with facets of the body that have
-    affine rank k-1."""
-    if len(face) == k + 1:
-        return [tuple(sorted(face))]
-    apex = min(face)
-    subfaces = set()
+def _triangulate_convex_points(points: Sequence[Point]) -> list[Simplex]:
+    """Triangulate the convex hull of points in convex position.
+
+    Fans from the lexicographically smallest point; recursion on the
+    hull facets runs in exact affine chart coordinates.
+    """
+    pts = sorted(set(points))
+    k = _affine_rank(pts)
+    if len(pts) == k + 1:
+        return [tuple(pts)]
+    n = len(pts[0])
+    base = pts[0]
+    basis_rows: list[Vec] = []
+    r = 0
+    for p in pts[1:]:
+        d = vsub(p, base)
+        cand = basis_rows + [d]
+        rk = rref_rank(Matrix.from_rows(cand, n))[1]
+        if rk > r:
+            basis_rows.append(d)
+            r = rk
+        if r == k:
+            break
+    b = Matrix.from_rows(basis_rows, n)
+    ginv = inverse(b.matmul(b.transpose()))
+
+    def chart(p: Point) -> Point:
+        return ginv.matvec(b.matvec(vsub(p, base)))
+
+    back = {chart(p): p for p in pts}
+    body = hull_facets(list(back.keys()), check=False)
+    apex = chart(base)
+    simplices: list[Simplex] = []
     for f in body.facets:
-        sub = face & set(f.vertex_indices)
-        pts = [body.vertices[i] for i in sorted(sub)]
-        if (apex not in sub and len(pts) >= k
-                and rref_rank(Matrix.from_rows([vsub(q, pts[0]) for q in pts[1:]]))[1] == k - 1):
-            subfaces.add(frozenset(sub))
-    return [(apex,) + s for sub in subfaces for s in _face_simplices(body, sub, k - 1)]
+        fverts = [body.vertices[i] for i in f.vertex_indices]
+        if apex in fverts:
+            continue
+        for piece in _triangulate_convex_points(fverts):
+            simplices.append(tuple(back[q] for q in (apex,) + piece))
+    return simplices
 
 
 def reference_moments(body: Polytope) -> MomentData:
-    """Test oracle for body_moments: each facet's pulling triangulation
-    coned to the vertex barycenter, with the closed form of a simplex S
-    whose vertex coordinate sums are c:
+    """Test oracle for body_moments: each facet's chart triangulation
+    (`_triangulate_convex_points`) coned to the vertex barycenter, with
+    the closed form of a simplex S whose vertex coordinate sums are c:
 
         int_S x = vol(S) c / (n+1),
         int_S x x^T = vol(S) (sum_v v v^T + c c^T) / ((n+1)(n+2)).
@@ -334,8 +419,8 @@ def reference_moments(body: Polytope) -> MomentData:
     first = [Fraction(0)] * n
     second = [[Fraction(0)] * n for _ in range(n)]
     for f in body.facets:
-        for piece in _face_simplices(body, frozenset(f.vertex_indices), n - 1):
-            s = [bary] + [body.vertices[i] for i in piece]
+        for piece in _triangulate_convex_points([body.vertices[i] for i in f.vertex_indices]):
+            s = [bary] + list(piece)
             v = abs(determinant(Matrix.from_rows([vsub(q, bary) for q in s[1:]]))) / factorial(n)
             col = [sum(q[i] for q in s) for i in range(n)]
             vol += v
@@ -461,3 +546,45 @@ def gap_integral_by_facets(body: Polytope, g) -> Fraction:
         total += sum(facet_moment(body, fi, [g, g, x[i], x[i]]) for i in range(n))
         total -= (n + 2) * facet_moment(body, fi, [g, g])
     return total
+
+
+def edges_by_pair_scan(p: Polytope) -> list[tuple[int, int]]:
+    """Test oracle for variations._edges: every vertex pair whose shared
+    facet normals have rank n-1."""
+    n = p.dim
+    out = []
+    for i in range(len(p.vertices)):
+        for j in range(i + 1, len(p.vertices)):
+            shared = [f.normal for f in p.facets
+                      if i in f.vertex_indices and j in f.vertex_indices]
+            if len(shared) >= n - 1 and rref_rank(Matrix.from_rows(shared, n))[1] == n - 1:
+                out.append((i, j))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference oracle on top of the certificate's Richardson routine
+
+def _quantity_value(md: MomentData, quantity) -> Fraction:
+    if quantity == "vol":
+        return md.volume
+    if quantity == "x2":
+        return md.norm2_integral()
+    if quantity == "l2n":
+        return md.l_pow_2n()
+    if isinstance(quantity, tuple) and quantity and quantity[0] == "x":
+        return md.first_moments[quantity[1]]
+    if isinstance(quantity, tuple) and quantity and quantity[0] == "xx":
+        return md.second_moments.rows[quantity[1]][quantity[2]]
+    raise ValueError("unknown quantity %r" % (quantity,))
+
+
+def finite_difference_oracle(p: Polytope, g: Sequence, quantity,
+                             h: Fraction = DEFAULT_FD_STEP) -> float:
+    """Richardson-extrapolated central difference of an exact quantity
+    along the radial family; the independent check of the facet formulas.
+
+    quantity is one of "vol", "x2", "l2n", ("x", i), ("xx", i, j).
+    """
+    first, _ = _richardson(p, _check_speed(p, g), h)
+    return float(first(lambda md: _quantity_value(md, quantity)))

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction as F
-from math import sqrt
+from math import factorial, sqrt
 
 import pytest
 
 import support
+from isodecomp import moments
+from isodecomp.decomp import facewise_affine_space
 from isodecomp.errors import UnsupportedDegree
-from isodecomp.exactnum import Matrix, determinant
+from isodecomp.exactnum import Matrix, determinant, vsub
 from isodecomp.moments import (
     body_moments,
     boundary_weights,
@@ -14,6 +16,7 @@ from isodecomp.moments import (
     facet_moment,
     boundary_moment,
     isotropy,
+    l_pow_2n,
     poly_const,
     poly_norm2,
     simplex_monomial_integral,
@@ -63,12 +66,47 @@ def test_body_moments_triangle(standard_triangle):
     assert md.second_moments.rows == ((F(1, 12), F(1, 24)), (F(1, 24), F(1, 12)))
 
 
+def nonsimplicial_in_two_frames():
+    """The hexagonal prism, cube4 and the 24-cell, each also in a frame
+    that moves the smallest vertex index of some facets."""
+    return [b for body in support.nonsimplicial_bodies() for b in (body, support.sheared(body))]
+
+
+def test_shear_frame_moves_facet_apexes():
+    for body in support.nonsimplicial_bodies():
+        m, c = support.shear_frame(body.dim)
+        image = support.sheared(body)
+        moved = [tuple(x + y for x, y in zip(Matrix.from_rows(m).matvec(v), c))
+                 for v in body.vertices]
+        index = [image.vertices.index(w) for w in moved]
+        assert any(min(index[i] for i in f.vertex_indices) != index[min(f.vertex_indices)]
+                   for f in body.facets), body
+
+
+def test_facet_simplices_tile_each_facet(square, cube3, octahedron, hexagon):
+    """Each facet's pulled simplices are proper (n-1)-simplices on its
+    vertices whose measures add up to the facet's, as measured over the
+    independent chart triangulation."""
+    for body in [square, cube3, octahedron, hexagon, *nonsimplicial_in_two_frames()]:
+        n = body.dim
+        for fi, f in enumerate(body.facets):
+            pieces = moments._facet_raw_table(body, fi)
+            for measure, idx in pieces:
+                assert measure > 0 and len(set(idx)) == n, (body, fi, idx)
+                assert set(idx) <= set(f.vertex_indices), (body, fi, idx)
+            chart = support._triangulate_convex_points([body.vertices[i] for i in f.vertex_indices])
+            expected = sum(abs(determinant(Matrix.from_rows(
+                [vsub(q, s[0]) for q in s[1:]] + [f.normal]))) for s in chart) / factorial(n - 1)
+            assert sum(measure for measure, _ in pieces) == expected, (body, fi)
+
+
 def test_body_moments_match_reference(square, cube3, octahedron, hexagon, triangle_o,
                                       standard_triangle):
     """The facet route equals the barycenter cone over an independent
     facet triangulation, wherever the origin lies."""
     rng = random.Random(23)
-    bodies = [square, cube3, octahedron, hexagon, triangle_o, standard_triangle]
+    bodies = [square, cube3, octahedron, hexagon, triangle_o, standard_triangle,
+              *nonsimplicial_in_two_frames()]
     for n, npts in ((2, 7), (3, 7), (4, 7)):
         body = support.random_polytope(rng, n, npts, centered=False)
         bodies += [body, translate(body, [F(7, 3)] * n), support.random_polytope(rng, n, npts)]
@@ -82,7 +120,7 @@ def test_cone_sums_and_boundary_weights_match_reference(square, octahedron, hexa
     weights summed against g = 1 give n vol, (n+2) int x x^T and
     (n+1) int x (Euler's identity), wherever the origin lies."""
     rng = random.Random(29)
-    bodies = [square, octahedron, hexagon, standard_triangle]
+    bodies = [square, octahedron, hexagon, standard_triangle, *nonsimplicial_in_two_frames()]
     for n, npts in ((2, 7), (3, 7), (4, 7)):
         body = support.random_polytope(rng, n, npts, centered=False)
         bodies += [body, translate(body, [F(7, 3)] * n)]
@@ -144,6 +182,24 @@ def test_l2n_affine_invariance():
                 break
         image = affine_image(body, m, (F(rng.randrange(-3, 4)), F(rng.randrange(-3, 4))))
         assert isotropy(image).l_pow_2n == base
+
+
+def test_l2n_and_dim_f_frame_invariance_non_simplicial(cube3):
+    """Pulling cones each facet from its smallest vertex index, which a
+    frame change moves; L^(2n) and dim F(P) must not notice."""
+    rng = random.Random(41)
+    for body in [cube3, *support.nonsimplicial_bodies()]:
+        n = body.dim
+        base, dim_f = l_pow_2n(body), facewise_affine_space(body).dimension
+        for _ in range(2):
+            while True:
+                m = [[F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)]
+                     for _ in range(n)]
+                if determinant(Matrix.from_rows(m)) != 0:
+                    break
+            image = affine_image(body, m, [F(rng.randrange(-3, 4), 2) for _ in range(n)])
+            assert l_pow_2n(image) == base, (body, m)
+            assert facewise_affine_space(image).dimension == dim_f, (body, m)
 
 
 def test_isotropizing_residual_small(standard_triangle):

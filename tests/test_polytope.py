@@ -17,6 +17,7 @@ from isodecomp.errors import (
 from isodecomp.polytope import (
     Facet,
     _check_structure,
+    _subfaces,
     affine_image,
     from_json_dict,
     gauge_value,
@@ -77,6 +78,29 @@ def test_hull_simplex(n):
 def test_hull_hexagon(hexagon):
     assert len(hexagon.facets) == 6
     assert all(len(f.vertex_indices) == 2 for f in hexagon.facets)
+
+
+def test_subfaces_give_the_f_vector(cube3):
+    """Faces of faces, from the facets down, by the stored incidences: the
+    face counts of closed-form bodies."""
+    # the bipyramid over the 4-cube, apexes +-e_5: its facets conv(apex, C)
+    # over the 3-cubes C meet across the cube in 4-vertex squares of rank 2
+    verts = [v + (0,) for v in itertools.product((-1, 1), repeat=4)] + [
+        (0, 0, 0, 0, -1), (0, 0, 0, 0, 1)]
+    bipyramid = validate(verts, [
+        ([s * (j == i) for j in range(4)] + [h], 1,
+         [k for k, v in enumerate(verts) if s * v[i] + h * v[4] == 1])
+        for i in range(4) for s in (-1, 1) for h in (-1, 1)])
+    for body, f_vector in [(cube3, [12, 6]), (support.hexagonal_prism(), [18, 8]),
+                           (support.cube4(), [32, 24, 8]), (support.cell24(), [96, 96, 24]),
+                           (bipyramid, [64, 88, 56, 16])]:
+        faces = {frozenset(f.vertex_indices) for f in body.facets}
+        counts = [len(faces)]
+        for k in range(body.dim - 1, 1, -1):
+            faces = {sub for face in faces for sub in _subfaces(body, face, k)}
+            counts.append(len(faces))
+        assert counts[::-1] == f_vector, body
+        assert all(len(e) == 2 for e in faces), body
 
 
 def test_polar_examples(square, cube3, octahedron, triangle_o):

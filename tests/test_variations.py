@@ -20,7 +20,6 @@ from isodecomp.variations import (
     boundary_first_derivatives,
     boundary_second_derivatives,
     eps_bound,
-    finite_difference_oracle,
     finite_difference_report,
     gap_integral,
     kernel_direction,
@@ -230,12 +229,12 @@ def test_fd_oracle_and_report_agree():
             assert close(exact.d_xx[i][j], fd.d_xx[i][j])
             assert close(exact.dd_xx[i][j], fd.dd_xx[i][j])
     assert exact.dd_x2 == exact.dd_xx[0][0] + exact.dd_xx[1][1]
-    assert close(exact.d_vol, finite_difference_oracle(body, g, "vol", h))
+    assert close(exact.d_vol, support.finite_difference_oracle(body, g, "vol", h))
 
 
 def test_fd_step_too_large(square):
     with pytest.raises(StepTooLarge):
-        finite_difference_oracle(square, ones(square), "vol", F(1))
+        support.finite_difference_oracle(square, ones(square), "vol", F(1))
 
 
 @pytest.mark.parametrize("h", [F(0), F(-1, 1000)])
@@ -243,7 +242,7 @@ def test_fd_step_must_be_positive(square, h):
     with pytest.raises(StepTooLarge):
         finite_difference_report(square, ones(square), h)
     with pytest.raises(StepTooLarge):
-        finite_difference_oracle(square, ones(square), "vol", h)
+        support.finite_difference_oracle(square, ones(square), "vol", h)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def test_general_formula_off_the_kernel(sheared_hexagon):
         cert = lk_second_derivative(body, g)
         assert close(cert.value, cert.fd_value, 1e-4)
         assert close(lk_first_derivative(body, g),
-                     finite_difference_oracle(body, g, "l2n", F(1, 1000)))
+                     support.finite_difference_oracle(body, g, "l2n", F(1, 1000)))
     assert moving >= 2
 
 
@@ -400,6 +399,21 @@ def test_rs_speed_space_cross_polytope():
     assert rs_speed_space(diamond, (1, 0)) == 4
 
 
+def test_rs_speed_space_octahedron(octahedron):
+    """Shadow and central slice are the same square: dim F of the
+    simplicial octahedron is its vertex count."""
+    assert rs_speed_space(octahedron, (0, 0, 1)) == 6
+
+
+def test_edges_match_pair_scan(cube3, octahedron):
+    rng = random.Random(37)
+    bodies = [cube3, octahedron, *support.nonsimplicial_bodies()]
+    for n in (2, 3, 4):
+        bodies += [support.random_polytope(rng, n, 8, centered=False) for _ in range(2)]
+    for body in bodies:
+        assert variations._edges(body) == support.edges_by_pair_scan(body), body
+
+
 def test_rs_speed_space_vertical_facets(cube3):
     with pytest.raises(CaseNotSupported):
         rs_speed_space(cube3, (1, 0, 0))
@@ -410,25 +424,16 @@ def test_rs_speed_space_shadow_slice_mismatch(octahedron):
         rs_speed_space(octahedron, (1, 1, 3))
 
 
-def test_radial_family_record(hexagon):
-    from isodecomp.variations import radial_family
-
-    g = (F(1), F(0), F(0), F(0), F(0), F(0))
-    fam = radial_family(hexagon, g)
-    assert fam.base == hexagon and fam.speed == g
-    assert fam.eps == eps_bound(hexagon, g) > 0
-
-
 def test_fd_oracle_l2n_constant_for_rescaling(hexagon):
-    value = finite_difference_oracle(hexagon, ones(hexagon), "l2n", F(1, 1000))
+    value = support.finite_difference_oracle(hexagon, ones(hexagon), "l2n", F(1, 1000))
     assert abs(value) < 1e-9
 
 
 def test_fd_oracle_componentwise(square):
     g = ones(square)
     exact = boundary_first_derivatives(square, g)
-    assert close(finite_difference_oracle(square, g, ("x", 0), F(1, 1000)), exact.d_x[0])
-    assert close(finite_difference_oracle(square, g, ("xx", 0, 1), F(1, 1000)),
+    assert close(support.finite_difference_oracle(square, g, ("x", 0), F(1, 1000)), exact.d_x[0])
+    assert close(support.finite_difference_oracle(square, g, ("xx", 0, 1), F(1, 1000)),
                  exact.d_xx[0][1])
 
 
