@@ -21,7 +21,6 @@ from .moments import (
     body_moments,
     facet_moment,
     isotropy,
-    simplex_monomial_integral,
 )
 from .polytope import (
     Facet,

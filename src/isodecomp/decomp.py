@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import GroupTooLarge, InternalCheckFailed, NotASymmetry, PreconditionError
-from .exactnum import Matrix, Vec, dot, is_zero_vec, kernel_basis, rat, rref_rank, vec
+from .exactnum import Matrix, Vec, is_zero_vec, kernel_basis, rat, rref_rank, vec
 from .polytope import Facet, Polytope, polar
 
 
@@ -102,8 +103,11 @@ def _dependence_rows(p: Polytope) -> list[Vec]:
     return rows
 
 
+@lru_cache(maxsize=256)
 def facewise_affine_space(p: Polytope) -> FacewiseAffineSpace:
-    """F(P) as the kernel of the stacked facet dependence constraints."""
+    """F(P) as the kernel of the stacked facet dependence constraints,
+    computed once per body: the threshold, the component bound and the
+    kernel search all read the same basis."""
     m = len(p.vertices)
     rows = _dependence_rows(p)
     basis = kernel_basis(Matrix.from_rows(rows, m))
@@ -141,14 +145,6 @@ def threshold_check(p: Polytope) -> ThresholdReport:
     dim = facewise_affine_space(p).dimension
     bound = decomposability_threshold(p.dim)
     return ThresholdReport(dim=dim, bound=bound, exceeds=dim > bound)
-
-
-def is_facewise_affine(p: Polytope, g: Sequence) -> bool:
-    g = vec(g)
-    for row in _dependence_rows(p):
-        if dot(row, g) != 0:
-            return False
-    return True
 
 
 def hypergraph_components(p: Polytope) -> ComponentReport:

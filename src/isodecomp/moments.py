@@ -30,6 +30,19 @@ Body moments are cone sums from the origin over the facet simplices
     integral_P h dx = sum_F (b/|a|) integral_F h dsigma / (n+k),
 
 ties them to the facet sums of `boundary_moment`: the tests' cross-check.
+
+The sums that certify repeats run on cleared denominators: with D the lcm
+of the vertex denominators and V = D v, the facet simplex S carries the
+integer K_S = |det V_S| signed by b (`_cone_table`), and
+
+    (b/|a|^2) * |a| vol_{n-1}(S) * d!/(d+k)! = K_S / (D^n (n-1+k)!)
+
+is its weight in a distance-weighted integral of k factors.  The cone
+sums (`cone_moments`), the boundary weights linear in a speed
+(`boundary_weights`) and the quadratic forms of the second variation
+(`second_variation_weights`) accumulate integers over one denominator
+each and build their fractions at the end; `facet_moment` stays the
+Fraction route for any factor list.
 """
 
 from __future__ import annotations
@@ -37,11 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegeneratePolytope, UnsupportedDegree
-from .exactnum import Matrix, Vec, determinant, dot, rat, vec, vsub
+from .exactnum import Matrix, Vec, _bareiss, determinant, dot, rat, vsub
 from .polytope import Facet, Polytope, _subfaces
 
 # sparse polynomial: exponent tuple (length n) -> rational coefficient
@@ -121,17 +134,6 @@ def _dirichlet_mean(factors: Sequence[Sequence[Fraction]], idx: Sequence[int]) -
     return total * Fraction(factorial(d), factorial(d + k))
 
 
-def simplex_monomial_integral(s: Sequence[Sequence], alpha: Sequence[int]) -> Fraction:
-    """Exact integral of x^alpha over a full-dimensional simplex."""
-    pts = tuple(vec(q) for q in s)
-    n = len(pts[0])
-    if len(pts) != n + 1:
-        raise ValueError("need n+1 points for a full-dimensional simplex")
-    factors = _monomial_factors(list(zip(*pts)), [int(a) for a in alpha])
-    vol = abs(determinant(Matrix.from_rows([vsub(q, pts[0]) for q in pts[1:]], n))) / factorial(n)
-    return vol * _dirichlet_mean(factors, range(n + 1))
-
-
 # ---------------------------------------------------------------------------
 # facet triangulation
 
@@ -172,6 +174,30 @@ def _facet_raw_table(p: Polytope, fi: int) -> tuple[tuple[Fraction, tuple[int, .
         measure = abs(determinant(Matrix.from_rows(rows, n))) / factorial(n - 1)
         pieces.append((measure, idx))
     return tuple(pieces)
+
+
+@lru_cache(maxsize=256)
+def _cone_table(p: Polytope) -> tuple[int, tuple[tuple[int, ...], ...],
+                                      tuple[tuple[int, tuple[int, ...]], ...]]:
+    """P on cleared denominators: (D, V, cones) with D the lcm of the vertex
+    denominators, V the vertices times D as int tuples, and one pair
+    (K_S, vertex indices) per facet simplex S of nonzero cone volume, where
+    K_S = |det(V_v, v in S)| signed by the facet offset b.
+
+    The cone from the origin over S has signed volume K_S / (D^n n!), and
+    (b / |a|^2) * measure(S) = K_S / (D^n (n-1)!) is the weight that
+    every distance-weighted facet integral over S carries.
+    """
+    d = lcm(*(x.denominator for v in p.vertices for x in v))
+    verts = tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in p.vertices)
+    cones = []
+    for fi, f in enumerate(p.facets):
+        sign = (f.offset > 0) - (f.offset < 0)
+        for _, idx in _facet_raw_table(p, fi):
+            k = sign * abs(_bareiss([list(verts[i]) for i in idx]))
+            if k:
+                cones.append((k, idx))
+    return d, verts, tuple(cones)
 
 
 def _facet_raw(p: Polytope, fi: int, factors) -> Fraction:
@@ -216,29 +242,82 @@ def boundary_weights(p: Polytope) -> tuple[Vec, ...]:
         y_v + sum y                                              (y = x_i, k = 2),
 
     with sums over the vertices of S, times (b/|a|^2) * measure * d!/(d+k)!
-    for d = n-1.  With g = 1 the rows give n vol, (n+2) int x_i x_j and
-    (n+1) int x_i (Euler's identity).
+    for d = n-1, which is K_S / (D^n (n-1+k)!) (`_cone_table`).  The sums
+    run in the integer coordinates V = D x, so the k = 3 and k = 2 rows
+    carry a further D^2 and D, and each row becomes fractions only at the
+    end.  With g = 1 the rows give n vol, (n+2) int x_i x_j and (n+1)
+    int x_i (Euler's identity).
     """
     n, m = p.dim, len(p.vertices)
+    d, verts, cones = _cone_table(p)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    w = [[Fraction(0)] * m for _ in range(1 + len(pairs) + n)]
-    k1, k2, k3 = (Fraction(factorial(n - 1), factorial(n - 1 + k)) for k in (1, 2, 3))
-    for fi, f in enumerate(p.facets):
-        height = f.offset / dot(f.normal, f.normal)
-        for measure, idx in _facet_raw_table(p, fi):
-            c1, c2, c3 = (height * measure * k for k in (k1, k2, k3))
-            pts = [p.vertices[v] for v in idx]
-            s = [sum(q[i] for q in pts) for i in range(n)]
+    w = [[0] * m for _ in range(1 + len(pairs) + n)]
+    for k, idx in cones:
+        pts = [verts[v] for v in idx]
+        s = [sum(q[i] for q in pts) for i in range(n)]
+        for v in idx:
+            w[0][v] += k
+        for r, (i, j) in enumerate(pairs, 1):
+            common = sum(q[i] * q[j] for q in pts) + s[i] * s[j]
+            for v, q in zip(idx, pts):
+                w[r][v] += k * (2 * q[i] * q[j] + common + q[i] * s[j] + q[j] * s[i])
+        for i in range(n):
+            for v, q in zip(idx, pts):
+                w[1 + len(pairs) + i][v] += k * (q[i] + s[i])
+    dens = ([d ** n * factorial(n)] + [d ** (n + 2) * factorial(n + 2)] * len(pairs)
+            + [d ** (n + 1) * factorial(n + 1)] * n)
+    return tuple(tuple(Fraction(x, den) for x in row) for row, den in zip(w, dens))
+
+
+@lru_cache(maxsize=256)
+def second_variation_weights(p: Polytope) -> tuple[int, tuple, tuple]:
+    """The boundary moments that are quadratic in a speed g, as integer
+    quadratic forms on its vertex values: (den, W0, W) with
+
+        g^T W0 g / den   = sum_F facet_moment(F, [g, g]),
+        g^T W_r g / den  = sum_F facet_moment(F, [g, g, x_i, x_j]),
+
+    W0 and each W_r integer m x m matrices, r running over i <= j.
+
+    In the Dirichlet formula a facet simplex S of F, with weight
+    K_S / (D^n (n-1+k)!) (`_cone_table`), gives the pair u, w of its
+    vertices the coefficient of g_u g_w
+
+        1 + d_uw                                                (k = 2),
+        (1 + d_uw) (base + e_u + e_w + y_u z_w + y_w z_u)       (y = x_i, z = x_j, k = 4),
+
+    with base = sum y sum z + sum y z and e_u = y_u sum z + z_u sum y +
+    2 y_u z_u, sums over the vertices of S: the sum over vertex pairs
+    a, b of y_a z_b times the product of the factorials of the
+    multiplicities in (u, w, a, b).  In the integer coordinates V = D x,
+    the k = 4 forms carry a further D^2, so den = D^(n+2) (n+3)! and W0 is
+    scaled by D^2 (n+2)(n+3).
+    """
+    n, m = p.dim, len(p.vertices)
+    d, verts, cones = _cone_table(p)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    w0 = [[0] * m for _ in range(m)]
+    w = [[[0] * m for _ in range(m)] for _ in pairs]
+    for k, idx in cones:
+        pts = [verts[v] for v in idx]
+        for u in idx:
             for v in idx:
-                w[0][v] += c1
-            for r, (i, j) in enumerate(pairs, 1):
-                common = sum(q[i] * q[j] for q in pts) + s[i] * s[j]
-                for v, q in zip(idx, pts):
-                    w[r][v] += c3 * (2 * q[i] * q[j] + common + q[i] * s[j] + q[j] * s[i])
-            for i in range(n):
-                for v, q in zip(idx, pts):
-                    w[1 + len(pairs) + i][v] += c2 * (q[i] + s[i])
-    return tuple(tuple(row) for row in w)
+                w0[u][v] += k if u != v else 2 * k
+        for r, (i, j) in enumerate(pairs):
+            y = [q[i] for q in pts]
+            z = [q[j] for q in pts]
+            sy, sz = sum(y), sum(z)
+            base = sy * sz + sum(a * b for a, b in zip(y, z))
+            e = [a * sz + b * sy + 2 * a * b for a, b in zip(y, z)]
+            row = w[r]
+            for a, u in enumerate(idx):
+                for b, v in enumerate(idx):
+                    t = base + e[a] + e[b] + y[a] * z[b] + y[b] * z[a]
+                    row[u][v] += k * t if a != b else 2 * k * t
+    lift = d * d * (n + 2) * (n + 3)
+    return (d ** (n + 2) * factorial(n + 3),
+            tuple(tuple(x * lift for x in row) for row in w0),
+            tuple(tuple(tuple(row) for row in mat) for mat in w))
 
 
 # ---------------------------------------------------------------------------
@@ -292,33 +371,57 @@ def cone_moments(p: Polytope, scale: Sequence[Fraction]) -> MomentData:
         vol = |det w| / n!,   int x = vol * sum w / (n+1),
         int x x^T = vol * (sum w w^T + sum w sum w^T) / ((n+1)(n+2)),
 
-    where |det w| = |det v| / prod scale(v) and, for a facet simplex in
-    <a, x> = b, |det v| / n! = measure * b / (n |a|^2) (signed by b).  With
-    scale = 1 this is P, wherever the origin lies; for other scales the
-    union is a body only when the moved simplices still bound it, which the
-    caller must know.
+    where |det w| = |det v| / prod scale(v), signed by the offset b of the
+    facet.  With scale = 1 this is P, wherever the origin lies; for other
+    scales the union is a body only when the moved simplices still bound
+    it, which the caller must know.
+
+    The sums run on cleared denominators (`_cone_table`): with V = D v,
+    scale(v) = N_v / Q and, per simplex S, P_S = prod_{v in S} N_v and
+    u_v = P_S / N_v, the cone over S contributes
+
+        vol      K_S / P_S                                 * Q^n / (D^n n!),
+        int x    K_S A / P_S^2                             * Q^(n+1) / (D^(n+1) n! (n+1)),
+        int xx^T K_S (sum_v u_v^2 V V^T + A A^T) / P_S^3  * Q^(n+2) / (D^(n+2) n! (n+1)(n+2)),
+
+    with A = sum_v u_v V.  Each sum is kept as one integer over a power of
+    L = prod_v N_v, which every P_S divides, and the 1 + n + n(n+1)/2
+    fractions of the result are built at the end.
     """
     n = p.dim
-    moved = [tuple(x / s for x in v) for v, s in zip(p.vertices, scale)]
-    vol = Fraction(0)
-    first = [Fraction(0)] * n
-    second = [[Fraction(0)] * n for _ in range(n)]
-    for fi, f in enumerate(p.facets):
-        height = f.offset / (n * dot(f.normal, f.normal))
-        for measure, idx in _facet_raw_table(p, fi):
-            cone = measure * height / prod(scale[i] for i in idx)
-            pts = [moved[i] for i in idx]
-            s = [sum(q[a] for q in pts) for a in range(n)]
-            vol += cone
-            for a in range(n):
-                first[a] += cone * s[a]
-                for b in range(a, n):
-                    second[a][b] += cone * (sum(q[a] * q[b] for q in pts) + s[a] * s[b])
-    for a in range(n):
-        for b in range(a):
-            second[a][b] = second[b][a]
-    return MomentData(vol, tuple(x / (n + 1) for x in first),
-                      Matrix.from_rows([[x / ((n + 1) * (n + 2)) for x in row] for row in second]))
+    d, verts, cones = _cone_table(p)
+    scale = [rat(s) for s in scale]
+    q = lcm(*(s.denominator for s in scale))
+    nums = [s.numerator * (q // s.denominator) for s in scale]
+    big = prod(nums)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    vol = 0
+    first = [0] * n
+    second = [0] * len(pairs)
+    for k, idx in cones:
+        ps = prod(nums[i] for i in idx)
+        c = big // ps
+        u = [ps // nums[i] for i in idx]
+        pts = [verts[i] for i in idx]
+        s = [sum(ui * v[a] for ui, v in zip(u, pts)) for a in range(n)]
+        u2 = [ui * ui for ui in u]
+        k1 = k * c
+        k2 = k1 * c
+        k3 = k2 * c
+        vol += k1
+        for a in range(n):
+            first[a] += k2 * s[a]
+        for r, (a, b) in enumerate(pairs):
+            second[r] += k3 * (sum(w * v[a] * v[b] for w, v in zip(u2, pts)) + s[a] * s[b])
+    base = factorial(n) * big
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), x in zip(pairs, second):
+        out[a][b] = out[b][a] = Fraction(x * q ** (n + 2),
+                                         d ** (n + 2) * (n + 1) * (n + 2) * base * big * big)
+    return MomentData(Fraction(vol * q ** n, d ** n * base),
+                      tuple(Fraction(x * q ** (n + 1), d ** (n + 1) * (n + 1) * base * big)
+                            for x in first),
+                      Matrix(tuple(tuple(row) for row in out), n))
 
 
 @lru_cache(maxsize=256)

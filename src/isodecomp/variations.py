@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .decomp import facewise_affine_space
@@ -42,8 +43,8 @@ from .moments import (
     body_moments,
     boundary_weights,
     cone_moments,
-    facet_moment,
     l_pow_2n,
+    second_variation_weights,
 )
 from .polytope import Polytope, _subfaces, hull_facets, validate
 
@@ -217,25 +218,28 @@ def boundary_first_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
 
 
 def boundary_second_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
-    """Adds the exact second derivatives of vol and int x x^T at t=0."""
+    """Adds the exact second derivatives of vol and int x x^T at t=0:
+    (n+1) and (n+3) times the distance-weighted facet integrals of f^2 and
+    f^2 x_i x_j, each the quadratic form of `moments.second_variation_weights`
+    evaluated on the integer numerators of g over their common denominator."""
     g = _check_speed(p, g)
     first = boundary_first_derivatives(p, g)
-    forms = _facet_linear_forms(p, g)
     n = p.dim
-    x = list(zip(*p.vertices))
-    s_f2 = Fraction(0)
-    s_f2xx = [[Fraction(0)] * n for _ in range(n)]
-    for fi, c in enumerate(forms):
-        if is_zero_vec(c):
-            continue
-        s_f2 += facet_moment(p, fi, [g, g])
-        for i in range(n):
-            for j in range(i, n):
-                s_f2xx[i][j] += facet_moment(p, fi, [g, g, x[i], x[j]])
-    dd_xx = [[(n + 3) * s_f2xx[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    den, w0, w = second_variation_weights(p)
+    q = lcm(*(x.denominator for x in g))
+    gi = [x.numerator * (q // x.denominator) for x in g]
+    den *= q * q
+
+    def form(mat) -> int:
+        return sum(a * sum(x * b for x, b in zip(row, gi)) for a, row in zip(gi, mat) if a)
+
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    dd_xx = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), mat in zip(pairs, w):
+        dd_xx[i][j] = dd_xx[j][i] = Fraction((n + 3) * form(mat), den)
     return DerivativeReport(
         d_vol=first.d_vol, d_x=first.d_x, d_xx=first.d_xx, d_x2=first.d_x2,
-        dd_vol=(n + 1) * s_f2, dd_xx=tuple(tuple(r) for r in dd_xx),
+        dd_vol=Fraction((n + 1) * form(w0), den), dd_xx=tuple(tuple(r) for r in dd_xx),
         dd_x2=sum(dd_xx[i][i] for i in range(n)), method="exact-facet")
 
 

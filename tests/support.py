@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
-from isodecomp.decomp import facewise_affine_space
+from isodecomp.decomp import _dependence_rows, facewise_affine_space
 from isodecomp.errors import NotFullDimensional
 from isodecomp.exactnum import (
     Matrix,
@@ -17,12 +17,20 @@ from isodecomp.exactnum import (
     determinant,
     dot,
     inverse,
+    is_zero_vec,
     kernel_basis,
     rref_rank,
     vec,
     vsub,
 )
-from isodecomp.moments import MomentData, body_moments, facet_moment
+from isodecomp.moments import (
+    MomentData,
+    _dirichlet_mean,
+    _facet_raw_table,
+    _monomial_factors,
+    body_moments,
+    facet_moment,
+)
 from isodecomp.polytope import (
     Polytope,
     _affine_rank,
@@ -39,7 +47,9 @@ from isodecomp.variations import (
     DEFAULT_FD_STEP,
     DerivativeReport,
     _check_speed,
+    _facet_linear_forms,
     _richardson,
+    boundary_first_derivatives,
     eps_bound,
 )
 
@@ -119,6 +129,45 @@ def shear_frame(n: int):
 
 def sheared(body: Polytope) -> Polytope:
     return affine_image(body, *shear_frame(body.dim))
+
+
+def mixed_denominators(body: Polytope, rng: random.Random) -> Polytope:
+    """body under a diagonal map with entries in [1/2, 2] and a shift of
+    less than 1/8 per coordinate, every entry over its own denominator of
+    about 64 bits.  For n <= 4, a body that holds the ball of radius 1/2
+    about the origin keeps the origin in its interior."""
+    n = body.dim
+    m = [[Fraction(rng.randrange(2 ** 63, 2 ** 64), rng.randrange(2 ** 63, 2 ** 64))
+           if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    c = [Fraction(rng.randrange(-2 ** 60, 2 ** 60), rng.randrange(2 ** 63, 2 ** 64))
+         for _ in range(n)]
+    return affine_image(body, m, c)
+
+
+def oracle_bodies() -> list[Polytope]:
+    """Bodies with the origin interior for the integer-route oracles: the
+    square, the hexagon, the prism in two frames, cube3, the octahedron,
+    cube4, the 24-cell, seeded random 3-D and 4-D bodies, and three bodies
+    over 64-bit denominators."""
+    rng = random.Random(47)
+    prism = hexagonal_prism()
+    bodies = [cube(2), hexagon(), prism, sheared(prism), cube(3), cross_polytope(3), cube4(),
+              cell24(), random_polytope(rng, 3, 10), random_polytope(rng, 4, 8)]
+    return bodies + [mixed_denominators(b, rng) for b in (hexagon(), cross_polytope(3), cube(3))]
+
+
+def uncentred_bodies() -> list[Polytope]:
+    """Bodies with the origin outside, so some facet offsets are negative."""
+    rng = random.Random(53)
+    body = random_polytope(rng, 3, 9, centered=False)
+    return [translate(cube(3), [3, Fraction(1, 2), -5]), translate(body, [Fraction(7, 3)] * 3),
+            translate(mixed_denominators(cube4(), rng), [2, 0, 0, 0])]
+
+
+def oracle_speeds(body: Polytope, rng: random.Random) -> list[Vec]:
+    """The zero speed, a constant speed and a random facewise affine speed."""
+    m = len(body.vertices)
+    return [(Fraction(0),) * m, (Fraction(3, 7),) * m, random_speed(rng, body)]
 
 
 def random_polytope(rng: random.Random, n: int, npts: int, bound: int = 4,
@@ -588,3 +637,84 @@ def finite_difference_oracle(p: Polytope, g: Sequence, quantity,
     """
     first, _ = _richardson(p, _check_speed(p, g), h)
     return float(first(lambda md: _quantity_value(md, quantity)))
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles for the integer moment and second-variation routes
+
+def cone_moments_by_fractions(p: Polytope, scale: Sequence[Fraction]) -> MomentData:
+    """Test oracle for moments.cone_moments: the same cone sums over P's
+    facet simplices, every vertex moved to v / scale(v) and every sum
+    accumulated in Fractions.
+
+    A cone simplex 0, w_1..w_n has
+
+        vol = |det w| / n!,   int x = vol * sum w / (n+1),
+        int x x^T = vol * (sum w w^T + sum w sum w^T) / ((n+1)(n+2)),
+
+    where |det w| = |det v| / prod scale(v) and, for a facet simplex in
+    <a, x> = b, |det v| / n! = measure * b / (n |a|^2) (signed by b).
+    """
+    n = p.dim
+    moved = [tuple(x / s for x in v) for v, s in zip(p.vertices, scale)]
+    vol = Fraction(0)
+    first = [Fraction(0)] * n
+    second = [[Fraction(0)] * n for _ in range(n)]
+    for fi, f in enumerate(p.facets):
+        height = f.offset / (n * dot(f.normal, f.normal))
+        for measure, idx in _facet_raw_table(p, fi):
+            cone = measure * height / prod(scale[i] for i in idx)
+            pts = [moved[i] for i in idx]
+            s = [sum(q[a] for q in pts) for a in range(n)]
+            vol += cone
+            for a in range(n):
+                first[a] += cone * s[a]
+                for b in range(a, n):
+                    second[a][b] += cone * (sum(q[a] * q[b] for q in pts) + s[a] * s[b])
+    for a in range(n):
+        for b in range(a):
+            second[a][b] = second[b][a]
+    return MomentData(vol, tuple(x / (n + 1) for x in first),
+                      Matrix.from_rows([[x / ((n + 1) * (n + 2)) for x in row] for row in second]))
+
+
+def second_derivatives_by_facets(p: Polytope, g) -> DerivativeReport:
+    """Test oracle for boundary_second_derivatives: the distance-weighted
+    facet integrals of g^2 and g^2 x_i x_j, one facet_moment call per
+    facet and factor list, on top of boundary_first_derivatives."""
+    g = _check_speed(p, g)
+    first = boundary_first_derivatives(p, g)
+    forms = _facet_linear_forms(p, g)
+    n = p.dim
+    x = list(zip(*p.vertices))
+    s_f2 = Fraction(0)
+    s_f2xx = [[Fraction(0)] * n for _ in range(n)]
+    for fi, c in enumerate(forms):
+        if is_zero_vec(c):
+            continue
+        s_f2 += facet_moment(p, fi, [g, g])
+        for i in range(n):
+            for j in range(i, n):
+                s_f2xx[i][j] += facet_moment(p, fi, [g, g, x[i], x[j]])
+    dd_xx = [[(n + 3) * s_f2xx[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return DerivativeReport(
+        d_vol=first.d_vol, d_x=first.d_x, d_xx=first.d_xx, d_x2=first.d_x2,
+        dd_vol=(n + 1) * s_f2, dd_xx=tuple(tuple(r) for r in dd_xx),
+        dd_x2=sum(dd_xx[i][i] for i in range(n)), method="exact-facet")
+
+
+def simplex_monomial_integral(s: Sequence[Sequence], alpha: Sequence[int]) -> Fraction:
+    """Exact integral of x^alpha over a full-dimensional simplex."""
+    pts = tuple(vec(q) for q in s)
+    n = len(pts[0])
+    if len(pts) != n + 1:
+        raise ValueError("need n+1 points for a full-dimensional simplex")
+    factors = _monomial_factors(list(zip(*pts)), [int(a) for a in alpha])
+    vol = abs(determinant(Matrix.from_rows([vsub(q, pts[0]) for q in pts[1:]], n))) / factorial(n)
+    return vol * _dirichlet_mean(factors, range(n + 1))
+
+
+def is_facewise_affine(p: Polytope, g: Sequence) -> bool:
+    """Whether g is orthogonal to every facet's affine dependences."""
+    g = vec(g)
+    return all(dot(row, g) == 0 for row in _dependence_rows(p))

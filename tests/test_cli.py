@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -8,7 +10,7 @@ import pytest
 
 import isodecomp
 import support
-from isodecomp import polytope
+from isodecomp import decomp, polytope
 from isodecomp.cli import (
     RunConfig,
     main,
@@ -412,3 +414,40 @@ def test_maximizer_report_symmetry_section(cube3):
     report = maximizer_report(cube3, gens)
     assert report["symmetry"]["bound"] == 6
     assert report["decomposability_dim"] == 4
+
+
+# stdout sha256 of `certify`, measured before the moment sums moved to
+# cleared denominators; a change of any exact value changes the bytes
+CERTIFY_DIGESTS = {
+    "cube3.json": "abdb91807d0bdeb1f1e57864427d74df94d7a1efd67cd083249b82cc260b2782",
+    "diamond.json": "95983ce294a076226bc27d59736350f0086a7a7ffffd77bf97cd68b996c922c0",
+    "hexagon.json": "363d4692847b2415c0ab229df7d31e0ac67c1b7401e0817a0faf2965f80c03c0",
+    "octahedron.json": "46b675d47d1d7f1e0d9ed483b8d851bafcde8f6eb8342ba71636edde9f61394e",
+    "square.json": "95983ce294a076226bc27d59736350f0086a7a7ffffd77bf97cd68b996c922c0",
+    "triangle.json": "24992f961f9fe52d636a70180daea6433522df58d20ed0b39c1e599d95ad074d",
+    "kernel3d": "bb9442034be9ac297d006858d1e3fdc9401cf2af29aa97ca7d36326b464bd1ee",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_DIGESTS))
+def test_certify_golden_digests(name, body_file, capsys):
+    if name == "kernel3d":  # 11 vertices, dim F 10 > 9, a kernel direction of ~250 bits
+        path = body_file("kernel3d", support.random_polytope(random.Random(3), 3, 12))
+        argv = ["certify", path, "--fd-step", "1/1000000000"]
+    else:
+        argv = ["certify", os.path.join(BODIES, name)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[name]
+
+
+def test_certify_computes_f_once_per_body(monkeypatch, capsys):
+    """F(P) is cached per body: one certify computes it for P and, when
+    the centroid is not the origin, for the centred copy."""
+    calls = []
+    rows = decomp._dependence_rows
+    monkeypatch.setattr(decomp, "_dependence_rows", lambda p: calls.append(p) or rows(p))
+    decomp.facewise_affine_space.cache_clear()
+    assert main(["certify", os.path.join(BODIES, "cube3.json")]) == 0
+    assert 1 <= len(calls) <= 2

@@ -8,7 +8,6 @@ from isodecomp.decomp import (
     dependence_space,
     facewise_affine_space,
     hypergraph_components,
-    is_facewise_affine,
     smilansky_dimension,
     summand_pair,
     symmetry_analysis,
@@ -156,7 +155,7 @@ def test_summand_pair_constant_speed_gives_homothets(hexagon):
 def test_summand_pair_linear_speed_gives_translates(cube3):
     w = (F(1, 8), F(0), F(0))
     g = tuple(dot(w, v) for v in cube3.vertices)
-    assert is_facewise_affine(cube3, g)
+    assert support.is_facewise_affine(cube3, g)
     eps = eps_bound(cube3, g)
     q, r = summand_pair(cube3, g, eps)
     dual = polar(cube3)

@@ -19,9 +19,9 @@ from isodecomp.moments import (
     l_pow_2n,
     poly_const,
     poly_norm2,
-    simplex_monomial_integral,
 )
 from isodecomp.polytope import affine_image, scale, translate
+from isodecomp.variations import eps_bound
 
 UNIT_SIMPLEX_2D = [(0, 0), (1, 0), (0, 1)]
 UNIT_SIMPLEX_3D = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -43,20 +43,20 @@ UNIT_SIMPLEX_3D = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 ])
 def test_simplex_monomial_integral(alpha, expected):
     simplex = UNIT_SIMPLEX_2D if len(alpha) == 2 else UNIT_SIMPLEX_3D
-    assert simplex_monomial_integral(simplex, alpha) == expected
+    assert support.simplex_monomial_integral(simplex, alpha) == expected
 
 
 def test_simplex_monomial_degree_cap():
     with pytest.raises(UnsupportedDegree):
-        simplex_monomial_integral(UNIT_SIMPLEX_2D, (3, 2))
+        support.simplex_monomial_integral(UNIT_SIMPLEX_2D, (3, 2))
 
 
 def test_simplex_monomial_matches_body_moments(standard_triangle):
     md = body_moments(standard_triangle)
-    assert md.volume == simplex_monomial_integral(UNIT_SIMPLEX_2D, (0, 0))
-    assert md.first_moments[0] == simplex_monomial_integral(UNIT_SIMPLEX_2D, (1, 0))
-    assert md.second_moments.rows[0][0] == simplex_monomial_integral(UNIT_SIMPLEX_2D, (2, 0))
-    assert md.second_moments.rows[0][1] == simplex_monomial_integral(UNIT_SIMPLEX_2D, (1, 1))
+    assert md.volume == support.simplex_monomial_integral(UNIT_SIMPLEX_2D, (0, 0))
+    assert md.first_moments[0] == support.simplex_monomial_integral(UNIT_SIMPLEX_2D, (1, 0))
+    assert md.second_moments.rows[0][0] == support.simplex_monomial_integral(UNIT_SIMPLEX_2D, (2, 0))
+    assert md.second_moments.rows[0][1] == support.simplex_monomial_integral(UNIT_SIMPLEX_2D, (1, 1))
 
 
 def test_body_moments_triangle(standard_triangle):
@@ -259,3 +259,51 @@ def test_second_moments_positive_definite_guard():
 def test_facet_moment_accepts_facet_object(square):
     f = next(f for f in square.facets if f.normal == (F(1), F(0)))
     assert facet_moment(square, f, []) == 2
+
+
+def test_cone_moments_match_fraction_oracle():
+    """The integer cone sums equal the Fraction cone sums exactly: at unit
+    scale and at scale 1 + t g for t = +-h, +-2h, with h = 1/10^9 and
+    h = eps/2, and at t = +-1/10^9, +-2/10^9 off the origin."""
+    rng = random.Random(59)
+    for body in support.oracle_bodies():
+        one = [F(1)] * len(body.vertices)
+        assert cone_moments(body, one) == support.cone_moments_by_fractions(body, one), body
+        for g in support.oracle_speeds(body, rng):
+            for h in (F(1, 10 ** 9), eps_bound(body, g) / 2):
+                for k in (-2, -1, 1, 2):
+                    scale = [1 + k * h * x for x in g]
+                    assert (cone_moments(body, scale)
+                            == support.cone_moments_by_fractions(body, scale)), (body, g, k * h)
+    for body in support.uncentred_bodies():
+        assert any(f.offset < 0 for f in body.facets)
+        for g in support.oracle_speeds(body, rng):
+            for k in (-2, -1, 1, 2):
+                scale = [1 + F(k, 10 ** 9) * x for x in g]
+                assert (cone_moments(body, scale)
+                        == support.cone_moments_by_fractions(body, scale)), (body, g, k)
+
+
+def test_second_variation_weights_match_facet_moments():
+    """The assembled quadratic forms equal the facet-by-facet Dirichlet
+    sums of g^2 and g^2 x_i x_j, also off the origin and for vertex values
+    that are not facewise affine."""
+    rng = random.Random(61)
+    for body in support.uncentred_bodies() + [support.cell24(), support.random_polytope(rng, 4, 8)]:
+        n = body.dim
+        x = list(zip(*body.vertices))
+        den, w0, w = moments.second_variation_weights(body)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        arbitrary = tuple(F(rng.randrange(-9, 10), rng.randrange(1, 9)) for _ in body.vertices)
+        for g in support.oracle_speeds(body, rng) + [arbitrary]:
+            def form(mat):
+                return sum(a * b * mat[u][v] for u, a in enumerate(g)
+                           for v, b in enumerate(g)) / den
+
+            def facet_sum(factors):
+                return sum((facet_moment(body, fi, factors) for fi in range(len(body.facets))),
+                           F(0))
+
+            assert form(w0) == facet_sum([g, g]), (body, g)
+            for (i, j), mat in zip(pairs, w):
+                assert form(mat) == facet_sum([g, g, x[i], x[j]]), (body, g, i, j)

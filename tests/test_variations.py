@@ -12,7 +12,7 @@ from isodecomp.errors import (
     StepTooLarge,
 )
 from isodecomp.decomp import facewise_affine_space
-from isodecomp.exactnum import Matrix, kernel_basis
+from isodecomp.exactnum import Matrix, determinant, inverse, kernel_basis
 from isodecomp.moments import body_moments, isotropy
 from isodecomp.polytope import affine_image, gauge_value, hull_facets, scale, translate
 from isodecomp.variations import (
@@ -200,6 +200,16 @@ def test_gap_integral_matches_facet_sums(hexagon, cube3):
         assert gap_integral(body, g) == support.gap_integral_by_facets(body, g), body
 
 
+def test_second_derivatives_match_facet_oracle():
+    """The assembled integer quadratic forms give the facet-by-facet
+    second derivatives exactly, for zero, constant and random speeds."""
+    rng = random.Random(67)
+    for body in support.oracle_bodies():
+        for g in support.oracle_speeds(body, rng):
+            assert (boundary_second_derivatives(body, g)
+                    == support.second_derivatives_by_facets(body, g)), (body, g)
+
+
 def test_second_variation_strict_inequality():
     rng = random.Random(23)
     for n, npts in ((2, 7), (3, 6)):
@@ -292,6 +302,34 @@ def test_certificate_hexagon(sheared_hexagon):
     assert cert.certificate
     assert cert.exact_value > 0 and cert.exact_fd > 0
     assert close(cert.value, cert.fd_value, 1e-4)
+
+
+def test_certificate_frame_invariance():
+    """The radial family commutes with linear maps and L^(2n) does not see
+    them, so the exact second derivative and its Richardson value along
+    g, read through the induced vertex permutation, are the same numbers
+    in every rational frame."""
+    rng = random.Random(71)
+    maps = [[[2, 1, 0], [F(1, 3), 1, 1], [1, 0, F(-5, 7)]]]
+    while len(maps) < 3:
+        m = [[F(rng.randrange(-4, 5), rng.randrange(1, 6)) for _ in range(3)] for _ in range(3)]
+        if determinant(Matrix.from_rows(m)) != 0:
+            maps.append(m)
+    h = F(1, 10 ** 9)
+    for seed in (1, 3, 5):
+        body = support.random_polytope(random.Random(seed), 3, 12)
+        g = kernel_direction(body)
+        assert g is not None, seed
+        ref = lk_second_derivative(body, g, h)
+        index = {v: i for i, v in enumerate(body.vertices)}
+        for m in maps:
+            image = affine_image(body, m)
+            inv = inverse(Matrix.from_rows(m))
+            perm = [index[inv.matvec(w)] for w in image.vertices]
+            assert kernel_direction(image) is not None, (seed, m)
+            cert = lk_second_derivative(image, tuple(g[i] for i in perm), h)
+            assert cert.exact_value == ref.exact_value, (seed, m)
+            assert cert.exact_fd == ref.exact_fd, (seed, m)
 
 
 def test_certificate_hexagon_exact_value(hexagon):
