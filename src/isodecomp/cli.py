@@ -11,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -656,9 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, with_input=True):
         if with_input:
             sp.add_argument("input", help="polytope JSON file")
-        sp.add_argument("--precision", type=int,
-                        default=int(os.environ.get("ISODECOMP_PRECISION", DEFAULT_PRECISION_BITS)),
-                        help="decimal rendering precision in bits (>= 53)")
+        sp.add_argument("--precision", type=int, default=None,
+                        help="decimal rendering precision in bits (>= 53; default "
+                             "$ISODECOMP_PRECISION, else %d)" % DEFAULT_PRECISION_BITS)
         sp.add_argument("--fd-step", default=None, help="finite difference step p/q")
         sp.add_argument("--out", default=None, help="write the report to a file")
 
@@ -705,7 +706,14 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         except (ValueError, ZeroDivisionError):
             parser.error("%s must be a rational p/q, got %r" % (flag, value))
 
-    cfg.precision = max(DEFAULT_PRECISION_BITS, getattr(args, "precision", DEFAULT_PRECISION_BITS))
+    precision = args.precision
+    if precision is None:
+        env = os.environ.get("ISODECOMP_PRECISION", str(DEFAULT_PRECISION_BITS))
+        try:
+            precision = int(env)
+        except ValueError:
+            parser.error("ISODECOMP_PRECISION must be an integer number of bits, got %r" % env)
+    cfg.precision = max(DEFAULT_PRECISION_BITS, precision)
     if getattr(args, "fd_step", None):
         cfg.fd_step = rational_flag("--fd-step", args.fd_step)
         if cfg.fd_step <= 0:
@@ -748,6 +756,11 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     config = config_from_args(parser.parse_args(argv), parser)
+    # An argparse parser is a web of reference cycles.  Free it while it is
+    # young, so that callers running main() in one process do not keep one
+    # parser per call until the next full collection.
+    del parser
+    gc.collect(1)
     try:
         return run(config)
     except ValidationError as exc:

@@ -11,13 +11,13 @@ of decomposability of P's polar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import GroupTooLarge, InternalCheckFailed, NotASymmetry, PreconditionError
-from .exactnum import Matrix, Vec, is_zero_vec, kernel_basis, rat, rref_rank, vec
+from .exactnum import Matrix, Vec, is_zero_vec, kernel_basis, rank, rat, rref_rank, vec, vsub
 from .polytope import Facet, Polytope, polar
 
 
@@ -103,19 +103,38 @@ def _dependence_rows(p: Polytope) -> list[Vec]:
     return rows
 
 
+@dataclass(frozen=True)
+class _Translates:
+    """P as a cache key equal to every translate of P: translation keeps
+    the vertex order, the vertices relative to the first one and the
+    facet incidences, and with them every facet dependence."""
+
+    relative: tuple[Vec, ...]
+    incidences: frozenset[tuple[int, ...]]
+    body: Polytope = field(compare=False)
+
+
 @lru_cache(maxsize=256)
 def facewise_affine_space(p: Polytope) -> FacewiseAffineSpace:
     """F(P) as the kernel of the stacked facet dependence constraints,
-    computed once per body: the threshold, the component bound and the
-    kernel search all read the same basis."""
-    m = len(p.vertices)
-    rows = _dependence_rows(p)
-    basis = kernel_basis(Matrix.from_rows(rows, m))
+    computed once per body and its translates (`_Translates`): the
+    threshold, the component bound and the kernel search on the centred
+    copy all read the same basis."""
+    v0 = p.vertices[0]
+    key = _Translates(tuple(vsub(v, v0) for v in p.vertices),
+                      frozenset(f.vertex_indices for f in p.facets), p)
+    return FacewiseAffineSpace(p, _facewise_basis(key))
+
+
+@lru_cache(maxsize=256)
+def _facewise_basis(key: _Translates) -> tuple[Vec, ...]:
+    m = len(key.relative)
+    basis = kernel_basis(Matrix.from_rows(_dependence_rows(key.body), m))
     # canonicalize: RREF of the basis matrix, rows are the basis vectors
     if basis:
-        reduced, rank, _ = rref_rank(Matrix.from_rows(basis, m))
-        basis = [reduced.rows[i] for i in range(rank)]
-    return FacewiseAffineSpace(p, tuple(basis))
+        reduced, rk, _ = rref_rank(Matrix.from_rows(basis, m))
+        basis = reduced.rows[:rk]
+    return tuple(basis)
 
 
 def smilansky_dimension(p: Polytope) -> int:
@@ -124,9 +143,7 @@ def smilansky_dimension(p: Polytope) -> int:
     An independent route to dim F(P): rank of stacked dependence bases
     instead of a kernel computation; the two are asserted to agree.
     """
-    m = len(p.vertices)
-    rows = _dependence_rows(p)
-    dim = m - rref_rank(Matrix.from_rows(rows, m))[1]
+    dim = len(p.vertices) - rank(_dependence_rows(p))
     other = facewise_affine_space(p).dimension
     if dim != other:
         raise InternalCheckFailed(

@@ -41,8 +41,11 @@ class DegeneratePolytope(ValidationError):
     pass
 
 
-class DimensionMismatch(PreconditionError):
-    pass
+class DimensionMismatch(ValidationError, PreconditionError):
+    """Dimensions that do not agree.  Every one the CLI can meet comes from
+    a malformed body file (mixed vertex lengths, a facet normal of the
+    wrong length, a wrong declared dim), so it exits 2 there; library
+    callers may still catch it as a violated precondition."""
 
 
 class OriginNotInterior(PreconditionError):

@@ -2,11 +2,16 @@
 
 Every decision in this package (ranks, signs, kernels, determinants,
 polytope incidences) is made in exact rational arithmetic: over
-`fractions.Fraction`, or over `int` once a common denominator has been
-cleared (the fraction-free determinant below, the hull's supporting
-hyperplanes and the planar search's shoelace sums).  Floating point
-exists only at the reporting boundary, via ``float()`` and
-:func:`to_decimal_str`.
+`fractions.Fraction`, or over `int` once denominators have been cleared.
+The integer layers are the linear algebra below (one fraction-free
+Gauss-Jordan, `_eliminate`, behind `rank`, `rref_rank`, `kernel_basis`,
+`solve` and `inverse`, and one Bareiss loop behind `determinant`), the
+hull's supporting hyperplanes and the structure checks of a body
+(`polytope`), the cone sums, boundary weights and second-variation forms
+(`moments`), the radial side checks and the kernel map (`variations`),
+and the planar search's shoelace sums (`cli`).  `Fraction`s are built
+only for the values these return.  Floating point exists only at the
+reporting boundary, via ``float()`` and :func:`to_decimal_str`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -103,28 +108,81 @@ class Matrix:
         )
 
 
-def rref_rank(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form, rank and pivot columns, all exact."""
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), m.ncols
+def _cleared(vectors: Iterable[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, the vectors times d as int tuples) for d the lcm of every
+    denominator in them: the vectors over one common denominator."""
+    vectors = list(vectors)
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors)
+
+
+def _int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
+    """Each row of ints or Fractions times the lcm of its denominators: a
+    positive row scale, which keeps the row space and every rank."""
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(a: list[list[int]], ncols: int, back: bool = True) -> tuple[int, ...]:
+    """Gauss-Jordan elimination of integer rows in place, without fractions.
+
+    A row r is cleared against the pivot row p by ``(p_c r - r_c p) / g``
+    with g = gcd(p_c, r_c), and then divided by the gcd of its entries, so
+    every row stays a primitive integer vector and the row space never
+    changes.  On return the first rank rows are the reduced row echelon
+    form, each times its pivot entry, and the rest are zero.  With
+    ``back=False`` only the rows below each pivot are cleared: enough for
+    the rank and the pivot columns.
+    """
+    nrows = len(a)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
-    return Matrix(tuple(tuple(row) for row in rows), ncols), len(pivots), tuple(pivots)
+        pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        row = a[r]
+        g = gcd(*row)
+        if g != 1:
+            row = a[r] = [x // g for x in row]
+        p = row[c]
+        for i in range(0 if back else r + 1, nrows):
+            x = a[i][c]
+            if i == r or not x:
+                continue
+            g = gcd(p, x)
+            s, t = p // g, x // g
+            new = [s * u - t * v for u, v in zip(a[i], row)]
+            g = gcd(*new)
+            a[i] = [u // g for u in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return tuple(pivots)
+
+
+def rank(rows: Iterable[Sequence]) -> int:
+    """Exact rank of rows of ints or Fractions, built from no Fraction."""
+    a = _int_rows(rows)
+    return len(_eliminate(a, len(a[0]) if a else 0, back=False))
+
+
+def rref_rank(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Reduced row echelon form, rank and pivot columns, all exact.
+
+    The elimination runs on integer rows (`_eliminate`); the reduced form
+    is unique, so dividing each pivot row by its pivot entry gives it."""
+    a = _int_rows(m.rows)
+    pivots = _eliminate(a, m.ncols)
+    zero = Fraction(0)
+    rows = tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(a, pivots))
+    rows += tuple((zero,) * m.ncols for _ in range(m.nrows - len(pivots)))
+    return Matrix(rows, m.ncols), len(pivots), pivots
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
@@ -133,17 +191,19 @@ def kernel_basis(m: Matrix) -> list[Vec]:
     The basis is canonical given the matrix: free coordinates are unit,
     pivot coordinates read off the reduced form.
     """
-    reduced, _, pivots = rref_rank(m)
-    ncols = m.ncols
+    a = _int_rows(m.rows)
+    pivots = _eliminate(a, m.ncols)
     pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis: list[Vec] = []
-    for free in range(ncols):
+    for free in range(m.ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced.rows[i][free]
+        v = [zero] * m.ncols
+        v[free] = one
+        for row, pc in zip(a, pivots):
+            if row[free]:
+                v[pc] = Fraction(-row[free], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -191,14 +251,14 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
 
     Free coordinates are set to zero, so the result is deterministic.
     """
-    aug = Matrix.from_rows([list(row) + [bi] for row, bi in zip(m.rows, b, strict=True)],
-                           m.ncols + 1)
-    reduced, _, pivots = rref_rank(aug)
-    if m.ncols in pivots:
+    n = m.ncols
+    a = _int_rows([list(row) + [bi] for row, bi in zip(m.rows, b, strict=True)])
+    pivots = _eliminate(a, n + 1)
+    if n in pivots:
         return None
-    x = [Fraction(0)] * m.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = reduced.rows[i][m.ncols]
+    x = [Fraction(0)] * n
+    for row, pc in zip(a, pivots):
+        x[pc] = Fraction(row[n], row[pc])
     return tuple(x)
 
 
@@ -206,11 +266,10 @@ def inverse(m: Matrix) -> Matrix:
     n = m.nrows
     if n != m.ncols:
         raise ValueError("inverse of a non-square matrix")
-    aug = Matrix.from_rows(
-        [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m.rows)],
-        2 * n,
-    )
-    reduced, rk, pivots = rref_rank(aug)
-    if rk < n or pivots[:n] != tuple(range(n)):
+    a = _int_rows([list(row) + [1 if i == j else 0 for j in range(n)]
+                   for i, row in enumerate(m.rows)])
+    pivots = _eliminate(a, 2 * n)
+    if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("singular matrix")
-    return Matrix(tuple(row[n:] for row in reduced.rows), n)
+    return Matrix(tuple(tuple(Fraction(x, row[i]) for x in row[n:])
+                        for i, row in enumerate(a)), n)

@@ -50,11 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegeneratePolytope, UnsupportedDegree
-from .exactnum import Matrix, Vec, _bareiss, determinant, dot, rat, vsub
+from .exactnum import Matrix, Vec, _bareiss, _cleared, determinant, dot, rat, vsub
 from .polytope import Facet, Polytope, _subfaces
 
 # sparse polynomial: exponent tuple (length n) -> rational coefficient
@@ -188,12 +188,11 @@ def _cone_table(p: Polytope) -> tuple[int, tuple[tuple[int, ...], ...],
     (b / |a|^2) * measure(S) = K_S / (D^n (n-1)!) is the weight that
     every distance-weighted facet integral over S carries.
     """
-    d = lcm(*(x.denominator for v in p.vertices for x in v))
-    verts = tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in p.vertices)
+    d, verts = _cleared(p.vertices)
     cones = []
-    for fi, f in enumerate(p.facets):
+    for f in p.facets:
         sign = (f.offset > 0) - (f.offset < 0)
-        for _, idx in _facet_raw_table(p, fi):
+        for idx in _pulled_simplices(p, frozenset(f.vertex_indices), p.dim - 1):
             k = sign * abs(_bareiss([list(verts[i]) for i in idx]))
             if k:
                 cones.append((k, idx))
@@ -390,9 +389,7 @@ def cone_moments(p: Polytope, scale: Sequence[Fraction]) -> MomentData:
     """
     n = p.dim
     d, verts, cones = _cone_table(p)
-    scale = [rat(s) for s in scale]
-    q = lcm(*(s.denominator for s in scale))
-    nums = [s.numerator * (q // s.denominator) for s in scale]
+    q, (nums,) = _cleared([[rat(s) for s in scale]])
     big = prod(nums)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     vol = 0

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
-from .exactnum import Matrix, Vec, _bareiss, dot, inverse, rat, rref_rank, vec, vsub
+from .exactnum import Matrix, Vec, _bareiss, _cleared, _int_rows, dot, inverse, rank, rat, vec, vsub
 
 Point = Vec
 
@@ -105,11 +105,12 @@ def _canonical(dim: int, vertices: Sequence[Point],
     return Polytope(dim, verts, tuple(fs))
 
 
-def _affine_rank(points: Sequence[Point]) -> int:
+def _affine_rank(points: Sequence[Sequence]) -> int:
+    """Dimension of the affine hull of points of ints or Fractions: the
+    rank of the rows (1, p), less one."""
     if len(points) <= 1:
         return 0
-    m = Matrix.from_rows([vsub(p, points[0]) for p in points[1:]], len(points[0]))
-    return rref_rank(m)[1]
+    return rank([(1, *p) for p in points]) - 1
 
 
 def _subfaces(p: Polytope, face: frozenset[int], k: int) -> list[frozenset[int]]:
@@ -159,7 +160,12 @@ def validate(vertices: Sequence[Sequence], facets: Sequence[tuple | Facet]) -> P
         else:
             normal, offset, idx = f
             raw.append((vec(normal), rat(offset), tuple(idx)))
-    for k, (_, _, idx) in enumerate(raw):
+    for k, (normal, _, idx) in enumerate(raw):
+        if len(normal) != n:
+            raise DimensionMismatch("facet %d has a normal of length %d in dimension %d"
+                                    % (k, len(normal), n))
+        if not any(normal):
+            raise ValidationError("facet %d has a zero normal" % k)
         bad = [i for i in idx if isinstance(i, bool) or not isinstance(i, int)
                or not 0 <= i < len(verts)]
         if bad:
@@ -172,30 +178,42 @@ def validate(vertices: Sequence[Sequence], facets: Sequence[tuple | Facet]) -> P
 
 
 def _check_structure(body: Polytope) -> None:
+    """Every facet is valid, lists exactly its on-plane vertices and is
+    spanned by them, and every vertex is extreme.
+
+    The tests run on cleared denominators: the vertices times the lcm D
+    of their denominators, and each facet's normal and offset times the
+    lcm of its own, so <a, v> against b reads <A, V> against B D.
+    """
     n = body.dim
     verts = body.vertices
+    d, ivs = _cleared(verts)
+    normals = []
     for f in body.facets:
+        [row] = _int_rows([(*f.normal, f.offset)])
+        normal, offset = row[:-1], row[-1] * d
         listed = set(f.vertex_indices)
         on_plane = set()
-        for i, v in enumerate(verts):
-            val = dot(f.normal, v)
-            if val > f.offset:
+        for i, v in enumerate(ivs):
+            val = sum(a * x for a, x in zip(normal, v))
+            if val > offset:
                 raise NotConvexPosition(
                     "vertex %s violates facet inequality <%s, x> <= %s"
-                    % (v, f.normal, f.offset))
-            if val == f.offset:
+                    % (verts[i], f.normal, f.offset))
+            if val == offset:
                 on_plane.add(i)
         if on_plane != listed:
             raise IncidenceMismatch(
                 "facet %s/%s: vertices on hyperplane %s != listed %s"
                 % (f.normal, f.offset, sorted(on_plane), sorted(listed)))
-        if _affine_rank([verts[i] for i in f.vertex_indices]) != n - 1:
+        if _affine_rank([ivs[i] for i in f.vertex_indices]) != n - 1:
             raise IncidenceMismatch(
                 "facet %s/%s: incident vertices do not span a hyperplane"
                 % (f.normal, f.offset))
+        normals.append((normal, listed))
     for i, v in enumerate(verts):
-        active = [f.normal for f in body.facets if dot(f.normal, v) == f.offset]
-        if not active or rref_rank(Matrix.from_rows(active, n))[1] != n:
+        active = [normal for normal, listed in normals if i in listed]
+        if not active or rank(active) != n:
             raise NotConvexPosition(
                 "vertex %s is not extreme (active facet normals do not span)" % (v,))
 
@@ -278,8 +296,7 @@ def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
     if n == 2:
         return _hull_2d(pts)
 
-    d = lcm(*(x.denominator for p in pts for x in p))
-    ipts = [tuple(x.numerator * (d // x.denominator) for x in p) for p in pts]
+    d, ipts = _cleared(pts)
     supports: dict[tuple[int, ...], int] = {}
     for subset in combinations(range(len(ipts)), n):
         base = ipts[subset[0]]
@@ -311,13 +328,13 @@ def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
     for normal, offset in supports.items():
         incident = [i for i, p in enumerate(ipts)
                     if sum(a * b for a, b in zip(normal, p)) == offset]
-        if _affine_rank([pts[i] for i in incident]) == n - 1:
+        if _affine_rank([ipts[i] for i in incident]) == n - 1:
             facet_data.append((normal, Fraction(offset, d), incident))
 
     vertex_ids = []
     for i, p in enumerate(pts):
         active = [normal for normal, offset, inc in facet_data if i in set(inc)]
-        if len(active) >= n and rref_rank(Matrix.from_rows(active, n))[1] == n:
+        if len(active) >= n and rank(active) == n:
             vertex_ids.append(i)
     keep = {old: new for new, old in enumerate(vertex_ids)}
     verts = [pts[i] for i in vertex_ids]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .decomp import facewise_affine_space
@@ -37,9 +37,22 @@ from .errors import (
     StepTooLarge,
     ValidationError,
 )
-from .exactnum import Matrix, Vec, dot, inverse, is_zero_vec, kernel_basis, rat, solve, vec
+from .exactnum import (
+    Matrix,
+    Vec,
+    _cleared,
+    _int_rows,
+    dot,
+    inverse,
+    is_zero_vec,
+    kernel_basis,
+    rat,
+    solve,
+    vec,
+)
 from .moments import (
     MomentData,
+    _cone_table,
     body_moments,
     boundary_weights,
     cone_moments,
@@ -116,6 +129,35 @@ def _facet_linear_forms(p: Polytope, g: Vec) -> tuple[Vec, ...]:
 
 
 @lru_cache(maxsize=4096)
+def _side_table(p: Polytope, g: Vec) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per facet F and vertex v of P, a positive multiple (U, W) of the pair
+
+        (1 - <a, v>, <c_F, v> - g(v)),
+
+    so that the moved vertex v / (1 + t g(v)) lies beyond, on or inside
+    the moved plane <a + t c_F, x> = 1 as t W - U is positive, zero or
+    negative.  With the origin inside (offsets 1), incident vertices read
+    (0, 0).  Built on cleared denominators: V = D v (`moments._cone_table`),
+    G = q g, and each facet's A and C over their own lcm.
+    """
+    d, verts, _ = _cone_table(p)
+    q, (gi,) = _cleared([g])
+    table = []
+    for f, c in zip(p.facets, _facet_linear_forms(p, g)):
+        la, (a,) = _cleared([f.normal])
+        lc, (ci,) = _cleared([c])
+        row = []
+        for v, gv in zip(verts, gi):
+            u = la * d - sum(x * y for x, y in zip(a, v))
+            w = q * sum(x * y for x, y in zip(ci, v)) - lc * d * gv
+            u, w = lc * q * u, la * w
+            k = gcd(u, w) or 1
+            row.append((u // k, w // k))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@lru_cache(maxsize=4096)
 def eps_bound(p: Polytope, g: Vec) -> Fraction:
     """Symmetric validity radius for the radial family of speed g.
 
@@ -127,20 +169,15 @@ def eps_bound(p: Polytope, g: Vec) -> Fraction:
     g = _check_speed(p, g)
     if not p.origin_interior:
         raise OriginNotInterior("radial families need the origin inside")
-    forms = _facet_linear_forms(p, g)
     candidates: list[Fraction] = []
     max_speed = max(abs(x) for x in g)
     if max_speed != 0:
         candidates.append(Fraction(1, 2) / max_speed)
-    for f, c in zip(p.facets, forms):
+    for f, row in zip(p.facets, _side_table(p, g)):
         incident = set(f.vertex_indices)
-        for i, v in enumerate(p.vertices):
-            if i in incident:
-                continue
-            denom = dot(c, v) - g[i]
-            if denom != 0:
-                t = (1 - dot(f.normal, v)) / denom
-                candidates.append(abs(t) / 2)
+        for i, (u, w) in enumerate(row):
+            if i not in incident and w != 0:
+                candidates.append(abs(Fraction(u, w)) / 2)
     if not candidates:
         return Fraction(1)
     return min(min(candidates), Fraction(1))
@@ -185,15 +222,15 @@ def radial_moments(p: Polytope, g: Sequence, t: Fraction) -> MomentData:
     eps = eps_bound(p, g)
     if abs(t) > eps:
         raise EpsilonTooLarge("|t| = %s exceeds the validity radius %s" % (t, eps))
-    scale = [1 + t * x for x in g]
-    for f, c in zip(p.facets, _facet_linear_forms(p, g)):
+    tn, td = t.numerator, t.denominator
+    for f, row in zip(p.facets, _side_table(p, g)):
         incident = set(f.vertex_indices)
-        for i, v in enumerate(p.vertices):
-            side = dot(f.normal, v) + t * dot(c, v)  # <a + t c_F, w_i> * scale[i]
-            if side > scale[i] or (side == scale[i]) != (i in incident):
+        for i, (u, w) in enumerate(row):
+            side = tn * w - td * u  # the sign of <a + t c_F, w_i> - 1
+            if side > 0 or (side == 0) != (i in incident):
                 raise EpsilonTooLarge("radial body at t = %s: vertex %d reaches the plane "
                                       "of facet %s" % (t, i, f.normal))
-    return cone_moments(p, scale)
+    return cone_moments(p, [1 + t * x for x in g])
 
 
 def boundary_first_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
@@ -226,8 +263,7 @@ def boundary_second_derivatives(p: Polytope, g: Sequence) -> DerivativeReport:
     first = boundary_first_derivatives(p, g)
     n = p.dim
     den, w0, w = second_variation_weights(p)
-    q = lcm(*(x.denominator for x in g))
-    gi = [x.numerator * (q // x.denominator) for x in g]
+    q, (gi,) = _cleared([g])
     den *= q * q
 
     def form(mat) -> int:
@@ -265,14 +301,24 @@ def kernel_direction(p: Polytope) -> Vec | None:
     if not p.origin_interior:
         raise OriginNotInterior("kernel search needs the origin inside")
     basis = facewise_affine_space(p).basis
-    # rows d/dt int x_i x_j (i <= j), then d/dt int x_i, one column per basis vector
-    rows = [[-dot(row, b) for b in basis] for row in boundary_weights(p)[1:]]
+    # basis vector k is B_k / beta_k with B_k integer; a weight row w is a
+    # positive multiple of an integer row W.  Row r, column k holds
+    # <W_r, B_k> L / beta_k for L the lcm of the beta_k: a nonzero multiple
+    # of the matrix of d/dt int x_i x_j (i <= j), then d/dt int x_i, on
+    # the basis, with the same kernel.
+    scaled = [_cleared([b]) for b in basis]
+    betas = [beta for beta, _ in scaled]
+    cols = [col for _, (col,) in scaled]
+    big = lcm(*betas)
+    rows = [[sum(x * y for x, y in zip(w, col)) * (big // beta) for beta, col in zip(betas, cols)]
+            for w in _int_rows(boundary_weights(p)[1:])]
     ker = kernel_basis(Matrix.from_rows(rows, len(basis)))
     if not ker:
         return None
-    coeffs = ker[0]
-    m = len(p.vertices)
-    g = tuple(sum(coeffs[k] * basis[k][i] for k in range(len(basis))) for i in range(m))
+    # g = sum_k c_k b_k = sum_k (c_k / beta_k) B_k, over one denominator
+    den, (nums,) = _cleared([[c / beta for c, beta in zip(ker[0], betas)]])
+    g = tuple(Fraction(sum(c * col[i] for c, col in zip(nums, cols) if c), den)
+              for i in range(len(p.vertices)))
     if is_zero_vec(g):
         return None
     return g

@@ -10,16 +10,13 @@ from math import factorial, prod
 from typing import Sequence
 
 from isodecomp.decomp import _dependence_rows, facewise_affine_space
-from isodecomp.errors import NotFullDimensional
+from isodecomp.errors import IncidenceMismatch, NotConvexPosition, NotFullDimensional
 from isodecomp.exactnum import (
     Matrix,
     Vec,
     determinant,
     dot,
-    inverse,
     is_zero_vec,
-    kernel_basis,
-    rref_rank,
     vec,
     vsub,
 )
@@ -33,9 +30,7 @@ from isodecomp.moments import (
 )
 from isodecomp.polytope import (
     Polytope,
-    _affine_rank,
     _canonical,
-    _check_structure,
     _hull_1d,
     _hull_2d,
     affine_image,
@@ -55,6 +50,112 @@ from isodecomp.variations import (
 
 Point = Vec
 Simplex = tuple[Point, ...]
+
+
+# ---------------------------------------------------------------------------
+# Fraction elimination and structure checks: the oracles for exactnum's
+# integer elimination and polytope._check_structure, and the linear algebra
+# of every other oracle here
+
+def rref_rank_by_fractions(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Gauss-Jordan elimination in Fraction arithmetic: reduced row
+    echelon form, rank and pivot columns."""
+    rows = [list(r) for r in m.rows]
+    nrows, ncols = len(rows), m.ncols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Matrix(tuple(tuple(row) for row in rows), ncols), len(pivots), tuple(pivots)
+
+
+def kernel_basis_by_fractions(m: Matrix) -> list[Vec]:
+    """One kernel vector per free column of rref_rank_by_fractions(m)."""
+    reduced, _, pivots = rref_rank_by_fractions(m)
+    basis = []
+    for free in range(m.ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * m.ncols
+        v[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -reduced.rows[i][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_by_fractions(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
+    """The solution of m x = b with free coordinates zero, or None."""
+    aug = Matrix.from_rows([list(row) + [bi] for row, bi in zip(m.rows, b, strict=True)],
+                           m.ncols + 1)
+    reduced, _, pivots = rref_rank_by_fractions(aug)
+    if m.ncols in pivots:
+        return None
+    x = [Fraction(0)] * m.ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = reduced.rows[i][m.ncols]
+    return tuple(x)
+
+
+def inverse_by_fractions(m: Matrix) -> Matrix:
+    n = m.nrows
+    aug = Matrix.from_rows([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                            for i, row in enumerate(m.rows)], 2 * n)
+    reduced, _, pivots = rref_rank_by_fractions(aug)
+    if pivots[:n] != tuple(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return Matrix(tuple(row[n:] for row in reduced.rows), n)
+
+
+def affine_rank_by_fractions(points: Sequence[Point]) -> int:
+    if len(points) <= 1:
+        return 0
+    m = Matrix.from_rows([vsub(p, points[0]) for p in points[1:]], len(points[0]))
+    return rref_rank_by_fractions(m)[1]
+
+
+def check_structure_by_fractions(body: Polytope) -> None:
+    """Oracle for polytope._check_structure: the same checks, in the same
+    order and with the same messages, on Fraction dot products."""
+    n = body.dim
+    verts = body.vertices
+    for f in body.facets:
+        listed = set(f.vertex_indices)
+        on_plane = set()
+        for i, v in enumerate(verts):
+            val = dot(f.normal, v)
+            if val > f.offset:
+                raise NotConvexPosition(
+                    "vertex %s violates facet inequality <%s, x> <= %s"
+                    % (v, f.normal, f.offset))
+            if val == f.offset:
+                on_plane.add(i)
+        if on_plane != listed:
+            raise IncidenceMismatch(
+                "facet %s/%s: vertices on hyperplane %s != listed %s"
+                % (f.normal, f.offset, sorted(on_plane), sorted(listed)))
+        if affine_rank_by_fractions([verts[i] for i in f.vertex_indices]) != n - 1:
+            raise IncidenceMismatch(
+                "facet %s/%s: incident vertices do not span a hyperplane"
+                % (f.normal, f.offset))
+    for v in verts:
+        active = [f.normal for f in body.facets if dot(f.normal, v) == f.offset]
+        if not active or rref_rank_by_fractions(Matrix.from_rows(active, n))[1] != n:
+            raise NotConvexPosition(
+                "vertex %s is not extreme (active facet normals do not span)" % (v,))
 
 
 def cube(n: int) -> Polytope:
@@ -209,7 +310,7 @@ def hull_facets_by_fractions(points, check: bool = True) -> Polytope:
     if n < 1:
         raise NotFullDimensional("dimension must be >= 1")
     pts = sorted(set(pts))
-    if _affine_rank(pts) != n:
+    if affine_rank_by_fractions(pts) != n:
         raise NotFullDimensional("points do not affinely span R^n")
     if n == 1:
         return _hull_1d(pts)
@@ -243,19 +344,19 @@ def hull_facets_by_fractions(points, check: bool = True) -> Polytope:
     facet_data = []
     for normal, offset in supports.values():
         incident = [i for i, p in enumerate(pts) if dot(normal, p) == offset]
-        if _affine_rank([pts[i] for i in incident]) == n - 1:
+        if affine_rank_by_fractions([pts[i] for i in incident]) == n - 1:
             facet_data.append((normal, offset, incident))
     vertex_ids = []
     for i in range(len(pts)):
         active = [normal for normal, _, inc in facet_data if i in inc]
-        if len(active) >= n and rref_rank(Matrix.from_rows(active, n))[1] == n:
+        if len(active) >= n and rref_rank_by_fractions(Matrix.from_rows(active, n))[1] == n:
             vertex_ids.append(i)
     keep = {old: new for new, old in enumerate(vertex_ids)}
     facets = [(normal, offset, tuple(keep[i] for i in inc if i in keep))
               for normal, offset, inc in facet_data]
     body = _canonical(n, [pts[i] for i in vertex_ids], facets)
     if check:
-        _check_structure(body)
+        check_structure_by_fractions(body)
     return body
 
 
@@ -418,7 +519,7 @@ def _triangulate_convex_points(points: Sequence[Point]) -> list[Simplex]:
     hull facets runs in exact affine chart coordinates.
     """
     pts = sorted(set(points))
-    k = _affine_rank(pts)
+    k = affine_rank_by_fractions(pts)
     if len(pts) == k + 1:
         return [tuple(pts)]
     n = len(pts[0])
@@ -428,14 +529,14 @@ def _triangulate_convex_points(points: Sequence[Point]) -> list[Simplex]:
     for p in pts[1:]:
         d = vsub(p, base)
         cand = basis_rows + [d]
-        rk = rref_rank(Matrix.from_rows(cand, n))[1]
+        rk = rref_rank_by_fractions(Matrix.from_rows(cand, n))[1]
         if rk > r:
             basis_rows.append(d)
             r = rk
         if r == k:
             break
     b = Matrix.from_rows(basis_rows, n)
-    ginv = inverse(b.matmul(b.transpose()))
+    ginv = inverse_by_fractions(b.matmul(b.transpose()))
 
     def chart(p: Point) -> Point:
         return ginv.matvec(b.matvec(vsub(p, base)))
@@ -577,7 +678,7 @@ def kernel_direction_by_basis(body: Polytope):
     """Test oracle for kernel_direction: the first kernel vector of
     kernel_rows_by_basis, as vertex values, or None."""
     basis = facewise_affine_space(body).basis
-    ker = kernel_basis(Matrix.from_rows(kernel_rows_by_basis(body), len(basis)))
+    ker = kernel_basis_by_fractions(Matrix.from_rows(kernel_rows_by_basis(body), len(basis)))
     if not ker:
         return None
     g = tuple(sum(c * b[i] for c, b in zip(ker[0], basis)) for i in range(len(body.vertices)))
@@ -606,7 +707,8 @@ def edges_by_pair_scan(p: Polytope) -> list[tuple[int, int]]:
         for j in range(i + 1, len(p.vertices)):
             shared = [f.normal for f in p.facets
                       if i in f.vertex_indices and j in f.vertex_indices]
-            if len(shared) >= n - 1 and rref_rank(Matrix.from_rows(shared, n))[1] == n - 1:
+            if (len(shared) >= n - 1
+                    and rref_rank_by_fractions(Matrix.from_rows(shared, n))[1] == n - 1):
                 out.append((i, j))
     return out
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -181,12 +182,33 @@ TRIANGLE_JSON = [["0", "0"], ["1", "0"], ["0", "1"]]
      "facets": [{"normal": ["1", "1"], "offset": "1", "vertices": [5, 6]}]},
     {"dim": "2", "vertices": TRIANGLE_JSON},
     {"dim": True, "vertices": TRIANGLE_JSON},
-], ids=["float", "letter", "no-vertices", "facet-index-out-of-range", "dim-string", "dim-bool"])
+    {"vertices": TRIANGLE_JSON, "facets": [{"normal": [0, 0], "offset": 0, "vertices": [0]}]},
+], ids=["float", "letter", "no-vertices", "facet-index-out-of-range", "dim-string", "dim-bool",
+        "facet-normal-zero"])
 def test_malformed_body_exits_2(data, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(data))
     code, err = run_cli(["lk", "bad.json"], tmp_path)
     assert code == 2
     assert "validation error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["certify", "moments", "polar", "lk", "components"])
+def test_short_facet_normal_is_a_dimension_mismatch(command, tmp_path):
+    data = {"vertices": TRIANGLE_JSON,
+            "facets": [{"normal": [1], "offset": 1, "vertices": [0]}]}
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    code, err = run_cli([command, "bad.json"], tmp_path)
+    assert code == 2
+    assert "normal of length 1 in dimension 2" in err and "Traceback" not in err
+
+
+def test_bad_env_precision_exits_2(monkeypatch, tmp_path):
+    monkeypatch.setenv("ISODECOMP_PRECISION", "abc")
+    code, err = run_cli(["lk", HEXAGON_FILE], tmp_path)
+    assert code == 2
+    assert "ISODECOMP_PRECISION" in err and "Traceback" not in err
+    code, _ = run_cli(["lk", HEXAGON_FILE, "--precision", "60"], tmp_path)
+    assert code == 0  # the flag takes precedence over the variable
 
 
 @pytest.mark.parametrize("data, argv, code, message", [
@@ -442,12 +464,32 @@ def test_certify_golden_digests(name, body_file, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[name]
 
 
-def test_certify_computes_f_once_per_body(monkeypatch, capsys):
-    """F(P) is cached per body: one certify computes it for P and, when
-    the centroid is not the origin, for the centred copy."""
-    calls = []
+def test_certify_computes_f_once_per_body(monkeypatch, capsys, body_file):
+    """F(P) is computed once per certify: the centred copy is a translate
+    of P and shares its basis.  cube3 is centred, its shifted copy is not."""
+    shifted = body_file("shifted", polytope.translate(support.cube(3), [F(1, 3), 0, F(-1, 5)]))
     rows = decomp._dependence_rows
-    monkeypatch.setattr(decomp, "_dependence_rows", lambda p: calls.append(p) or rows(p))
-    decomp.facewise_affine_space.cache_clear()
-    assert main(["certify", os.path.join(BODIES, "cube3.json")]) == 0
-    assert 1 <= len(calls) <= 2
+    for path in (os.path.join(BODIES, "cube3.json"), shifted):
+        calls = []
+        monkeypatch.setattr(decomp, "_dependence_rows", lambda p: calls.append(p) or rows(p))
+        decomp.facewise_affine_space.cache_clear()
+        decomp._facewise_basis.cache_clear()
+        assert main(["certify", path]) == 0
+        assert len(calls) == 1, path
+
+
+def test_main_frees_its_parser(capsys):
+    """The argparse parser is a web of reference cycles; main() collects it
+    itself, so repeated in-process calls do not wait for a full collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["lk", HEXAGON_FILE]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []

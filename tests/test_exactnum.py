@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from isodecomp.exactnum import (
     Matrix,
     determinant,
     inverse,
     kernel_basis,
+    rank,
     rat,
     rref_rank,
     solve,
@@ -105,3 +107,64 @@ def test_rat_rejects_floats():
 def test_decimal_rendering():
     assert to_decimal_str(F(1, 108), 12).startswith("0.0092592592")
 
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against the Fraction Gauss-Jordan it replaced
+
+wide = st.builds(F, st.integers(-2 ** 64, 2 ** 64), st.integers(2 ** 63, 2 ** 64))
+entries = st.one_of(st.just(F(0)), rationals, wide)
+
+
+@st.composite
+def low_rank_matrices(draw, square=False):
+    """r x c products of an r x k and a k x c matrix (rank at most k; k = 0
+    gives the zero matrix), with up to two zero rows inserted: zero rows,
+    more rows than columns, rank 0 and ~64-bit mixed denominators."""
+    c = draw(st.integers(1, 5))
+    r = c if square else draw(st.integers(0, 6))
+    zeros = 0 if square else draw(st.integers(0, min(2, r)))
+    k = draw(st.integers(0, min(r - zeros, c)))
+    left = [[draw(entries) for _ in range(k)] for _ in range(r - zeros)]
+    right = [[draw(entries) for _ in range(c)] for _ in range(k)]
+    rows = [[sum((a * b[j] for a, b in zip(row, right)), F(0)) for j in range(c)]
+            for row in left]
+    for _ in range(zeros):
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * c)
+    return Matrix.from_rows(rows, c)
+
+
+@given(low_rank_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rref_rank_and_kernel_match_fraction_oracle(m):
+    expected = support.rref_rank_by_fractions(m)
+    assert rref_rank(m) == expected
+    assert rank(m.rows) == expected[1]
+    assert kernel_basis(m) == support.kernel_basis_by_fractions(m)
+
+
+@given(low_rank_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_matches_fraction_oracle(m, data):
+    x = [data.draw(entries) for _ in range(m.ncols)]
+    for b in (m.matvec(x), [data.draw(entries) for _ in range(m.nrows)]):
+        assert solve(m, b) == support.solve_by_fractions(m, b)
+
+
+@given(low_rank_matrices(square=True))
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_fraction_oracle(m):
+    try:
+        expected = support.inverse_by_fractions(m)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            inverse(m)
+        return
+    assert inverse(m) == expected
+
+
+def test_rank_of_integer_rows():
+    assert rank([]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[2, 4], [1, 2], [0, 3]]) == 2
+    assert rank([[1, F(1, 2)], [2, 1]]) == 1

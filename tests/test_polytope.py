@@ -16,6 +16,7 @@ from isodecomp.errors import (
 )
 from isodecomp.polytope import (
     Facet,
+    Polytope,
     _check_structure,
     _subfaces,
     affine_image,
@@ -202,6 +203,10 @@ def test_json_declared_dim_and_facet_indices(cube3):
             from_json_dict(dict(data, dim=dim))
     with pytest.raises(DimensionMismatch):
         from_json_dict(dict(data, dim=2))
+    facets = [dict(f) for f in data["facets"]]
+    facets[-1]["normal"] = facets[-1]["normal"][:2]
+    with pytest.raises(DimensionMismatch, match="facet 5 has a normal of length 2"):
+        from_json_dict(dict(data, facets=facets))
     for bad in (8, -1, "0"):
         facets = [dict(f) for f in data["facets"]]
         facets[2]["vertices"] = facets[2]["vertices"][:-1] + [bad]
@@ -323,7 +328,7 @@ def test_hull_matches_fraction_oracle(case):
     pts = HULL_ORACLE_CASES[case]()
     try:
         expected = support.hull_facets_by_fractions(pts, check=False)
-        _check_structure(expected)
+        support.check_structure_by_fractions(expected)
     except ValidationError as exc:
         for check in (False, True):
             with pytest.raises(type(exc)):
@@ -331,3 +336,48 @@ def test_hull_matches_fraction_oracle(case):
         return
     for check in (False, True):
         assert hull_facets(pts, check=check) == expected
+
+
+def _broken_bodies(body):
+    """Four corruptions of a valid body, one per failure of the structure
+    check, with the class and a phrase of the message each must raise."""
+    facets = list(body.facets)
+    f = facets[0]
+    doubled = Facet(tuple(2 * x for x in f.normal), f.offset, f.vertex_indices)
+    short = Facet(f.normal, f.offset, f.vertex_indices[1:])
+    # a supporting plane that touches only vertex 0: the mean of its facet normals
+    active = [g for g in facets if 0 in g.vertex_indices]
+    mean = tuple(sum(xs) / len(active) for xs in zip(*(g.normal for g in active)))
+    return [
+        ([doubled] + facets[1:], NotConvexPosition, "violates facet inequality"),
+        ([short] + facets[1:], IncidenceMismatch, "vertices on hyperplane"),
+        (facets + [Facet(mean, F(1), (0,))], IncidenceMismatch, "do not span a hyperplane"),
+        ([g for g in facets if g not in active], NotConvexPosition, "is not extreme"),
+    ]
+
+
+def _outcome(check, body):
+    try:
+        check(body)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["hexagon", "cross_polytope3", "cube3", "cube4"])
+def test_structure_check_matches_fraction_oracle(name):
+    """On bodies over ~64-bit mixed denominators, the integer structure
+    check accepts what the Fraction check accepts and raises the same class
+    and message on each of its four failures: a vertex outside a facet, a
+    listed set unlike the on-plane set, incidences that do not span, and a
+    vertex that is not extreme."""
+    base = {"hexagon": support.hexagon, "cross_polytope3": lambda: support.cross_polytope(3),
+            "cube3": lambda: support.cube(3), "cube4": support.cube4}[name]()
+    body = support.mixed_denominators(base, random.Random(61))
+    assert _outcome(_check_structure, body) is None
+    assert _outcome(support.check_structure_by_fractions, body) is None
+    for facets, cls, phrase in _broken_bodies(body):
+        broken = Polytope(body.dim, body.vertices, tuple(facets))
+        got = _outcome(_check_structure, broken)
+        assert got == _outcome(support.check_structure_by_fractions, broken)
+        assert got is not None and got[0] is cls and phrase in got[1], (phrase, got)
