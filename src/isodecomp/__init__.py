@@ -19,7 +19,6 @@ from .moments import (
     IsotropyReport,
     MomentData,
     body_moments,
-    facet_moment,
     isotropy,
 )
 from .polytope import (

@@ -18,6 +18,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -95,8 +96,7 @@ def _rational_arg(value: str, convert, what: str):
 
 
 def _generators_arg(value: str):
-    return _rational_arg(value, lambda gens: [[[rat(x) for x in row] for row in g] for g in gens],
-                         "--generators")
+    return _rational_arg(value, lambda gens: [Matrix.from_rows(g) for g in gens], "--generators")
 
 
 def _speed_from_arg(p: Polytope, value: str, what: str = "--speed"):
@@ -625,7 +625,7 @@ def run(config: RunConfig) -> int:
         beta = _speed_from_arg(body, config.beta, "--beta")
         t = config.t_range
         system = variations.ShadowSystem(body, direction, beta, (-t, t))
-        k = max(3, config.grid)
+        k = config.grid
         lines = ["t,vol,vol_float,l_pow_2n,l_pow_2n_float"]
         for i in range(k):
             ti = -t + 2 * t * Fraction(i, k - 1)
@@ -647,6 +647,7 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isodecomp",
@@ -727,7 +728,10 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             parser.error("--eps must be positive, got %r" % args.eps)
     cfg.direction = getattr(args, "direction", None)
     cfg.beta = getattr(args, "beta", None)
-    cfg.grid = getattr(args, "grid", 9)
+    if hasattr(args, "grid"):
+        if args.grid < 3:
+            parser.error("--grid must be at least 3, got %d" % args.grid)
+        cfg.grid = args.grid
     if getattr(args, "t_range", None):
         cfg.t_range = rational_flag("--t-range", args.t_range)
         if cfg.t_range <= 0:
@@ -756,10 +760,10 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     config = config_from_args(parser.parse_args(argv), parser)
-    # An argparse parser is a web of reference cycles.  Free it while it is
-    # young, so that callers running main() in one process do not keep one
-    # parser per call until the next full collection.
-    del parser
+    # A caller that clears the package's functools caches between calls
+    # drops the parser, a web of reference cycles.  Collecting the young
+    # generations here frees most such parsers before they age into the
+    # oldest one, which is collected rarely.
     gc.collect(1)
     try:
         return run(config)

@@ -7,7 +7,8 @@ The integer layers are the linear algebra below (one fraction-free
 Gauss-Jordan, `_eliminate`, behind `rank`, `rref_rank`, `kernel_basis`,
 `solve` and `inverse`, and one Bareiss loop behind `determinant`), the
 hull's supporting hyperplanes and the structure checks of a body
-(`polytope`), the cone sums, boundary weights and second-variation forms
+(`polytope`), the cone sums, the polynomial facet sums of
+`boundary_moment`, the boundary weights and second-variation forms
 (`moments`), the radial side checks and the kernel map (`variations`),
 and the planar search's shoelace sums (`cli`).  `Fraction`s are built
 only for the values these return.  Floating point exists only at the

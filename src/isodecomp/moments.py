@@ -1,48 +1,43 @@
-"""Exact integration over polytopes and their facets.
+"""Exact integration over polytopes and their facets, on integers.
 
 Every integral is a sum over simplices whose vertices are vertices of the
-polytope, plus the origin for body moments.  The Dirichlet moment of the
-uniform measure on a d-simplex, E[lam^beta] = d! beta! / (d+|beta|)! in
-barycentric coordinates, summed over vertex tuples gives the mean of a
-product of affine factors l_1, ..., l_k over the simplex with vertices
-w_0, ..., w_d:
+polytope, plus the origin for body moments.  Facets are triangulated into
+(n-1)-simplices by pulling on P's own vertex-facet incidences: each face
+is coned from its smallest vertex index over the faces one dimension down
+that miss it.  Every integral here is a sum over any triangulation of the
+facet, so the choice of apex changes no value.
 
-    d!/(d+k)! * sum over set partitions pi of {1..k} of
-        prod_{B in pi} (|B|-1)! * sum_v prod_{t in B} l_t(w_v),
+One table carries them all (`_cone_table`): with D the lcm of the vertex
+denominators and V = D v, each facet simplex S in <a, x> = b holds the
+integer K_S = |det V_S| signed by b, so that the cone from the origin over
+S has signed volume K_S / (D^n n!).  The Dirichlet moment of the uniform
+measure on a d-simplex, E[lam^beta] = d! beta! / (d+|beta|)! in
+barycentric coordinates, summed over vertex tuples gives the integral of a
+product of affine factors l_1, ..., l_k over S as vol(S) d!/(d+k)! times
 
-so a factor enters only through its values at the vertices.  Facets are
-triangulated into (n-1)-simplices by pulling on P's own vertex-facet
-incidences: each face is coned from its smallest vertex index over the
-faces one dimension down that miss it.  Every integral here is a sum
-over any triangulation of the facet, so the choice of apex changes no
-value.  A simplex inside the hyperplane <a, x> = b has
+    sum over set partitions pi of {1..k} of
+        prod_{B in pi} (|B|-1)! * sum_{v in S} prod_{t in B} l_t(v)
 
-    vol_{n-1}(S) = |det[w_1-w_0, ..., w_{n-1}-w_0, a]| / ((n-1)! * |a|),
+(`_partition_sum`), so a factor enters only through its values at the
+vertices.  The cone over S has height |b|/|a|, so (b/|a|) vol_{n-1}(S) =
+K_S / (D^n (n-1)!), and in the coordinates V the distance-weighted
+integral, the quantity every boundary-variation formula here consumes, is
+exactly rational:
 
-so every facet integral is (rational) / |a|, a single radical per facet.
-The distance-weighted integral (b/|a|) * integral_F, the quantity every
-boundary-variation formula here consumes, is exactly rational.
+    (b/|a|) * integral_S prod_t l_t dsigma
+        = K_S * partition sum of the factors on V / (D^(n+k) (n-1+k)!).
 
-Body moments are cone sums from the origin over the facet simplices
-(`cone_moments`), signed by b wherever the origin lies.  Euler's identity
+The polynomial facet sums (`boundary_moment`), the boundary weights linear
+in a speed (`boundary_weights`), the quadratic forms of the second
+variation (`second_variation_weights`) and the body moments (`cone_moments`,
+signed by b wherever the origin lies) accumulate integers over one
+denominator each and build their fractions at the end.  Euler's identity
 (x h(x) has divergence (n+k) h for h homogeneous of degree k),
 
     integral_P h dx = sum_F (b/|a|) integral_F h dsigma / (n+k),
 
-ties them to the facet sums of `boundary_moment`: the tests' cross-check.
-
-The sums that certify repeats run on cleared denominators: with D the lcm
-of the vertex denominators and V = D v, the facet simplex S carries the
-integer K_S = |det V_S| signed by b (`_cone_table`), and
-
-    (b/|a|^2) * |a| vol_{n-1}(S) * d!/(d+k)! = K_S / (D^n (n-1+k)!)
-
-is its weight in a distance-weighted integral of k factors.  The cone
-sums (`cone_moments`), the boundary weights linear in a speed
-(`boundary_weights`) and the quadratic forms of the second variation
-(`second_variation_weights`) accumulate integers over one denominator
-each and build their fractions at the end; `facet_moment` stays the
-Fraction route for any factor list.
+ties the cone sums to the facet sums.  The tests check every sum here
+against a Fraction oracle over the same facet simplices.
 """
 
 from __future__ import annotations
@@ -54,8 +49,8 @@ from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegeneratePolytope, UnsupportedDegree
-from .exactnum import Matrix, Vec, _bareiss, _cleared, determinant, dot, rat, vsub
-from .polytope import Facet, Polytope, _subfaces
+from .exactnum import Matrix, Vec, _bareiss, _cleared, determinant, rat
+from .polytope import Polytope, _subfaces
 
 # sparse polynomial: exponent tuple (length n) -> rational coefficient
 Poly = dict[tuple[int, ...], Fraction]
@@ -118,20 +113,21 @@ def _partitions(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def _dirichlet_mean(factors: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> Fraction:
-    """Mean of prod_t l_t over the simplex with vertices w_i, i in idx,
-    where factors[t][i] = l_t(w_i) (see the module docstring)."""
-    d, k = len(idx) - 1, len(factors)
-    sums = [Fraction(0)] * (1 << k)  # by block bitmask: sum_i prod_{t in B} l_t(w_i)
+def _partition_sum(factors: Sequence[Sequence[int]], idx: Sequence[int]) -> int:
+    """sum_pi prod_{B in pi} (|B|-1)! * sum_{i in idx} prod_{t in B} l_t(w_i)
+    over the set partitions pi of the factors, where factors[t][i] =
+    l_t(w_i): the integral of prod_t l_t over the simplex with vertices w_i,
+    i in idx, divided by vol * d!/(d+k)! (see the module docstring)."""
+    k = len(factors)
+    sums = [0] * (1 << k)  # by block bitmask: sum_i prod_{t in B} l_t(w_i)
     for i in idx:
-        products = [Fraction(1)] * (1 << k)
+        products = [1] * (1 << k)
         for block in range(1, 1 << k):
             low = block & -block
             value = factors[low.bit_length() - 1][i]
             products[block] = value if block == low else products[block ^ low] * value
             sums[block] += products[block]
-    total = sum(weight * prod(sums[b] for b in blocks) for weight, blocks in _partitions(k))
-    return total * Fraction(factorial(d), factorial(d + k))
+    return sum(weight * prod(sums[b] for b in blocks) for weight, blocks in _partitions(k))
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +144,16 @@ def _pulled_simplices(p: Polytope, face: frozenset[int], k: int) -> list[tuple[i
             for s in _pulled_simplices(p, sub, k - 1)]
 
 
-def _facet_index(p: Polytope, facet) -> int:
-    if isinstance(facet, int):
-        return facet
-    if isinstance(facet, Facet):
-        return p.facets.index(facet)
-    raise TypeError("facet must be an index or a Facet")
-
-
 @lru_cache(maxsize=4096)
-def _facet_raw_table(p: Polytope, fi: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
-    """The (n-1)-simplices of facet fi pulled from P's incidences, each as
-    (|det[diffs, a]| / (n-1)! = vol_{n-1}(S) * |a|, indices of its vertices in P).
+def _facet_raw_table(p: Polytope, fi: int) -> tuple[tuple[int, ...], ...]:
+    """The (n-1)-simplices of facet fi pulled from P's incidences, as
+    indices of their vertices in P.
 
     The facet is coned from its smallest vertex index (its
     lexicographically smallest vertex, since vertices are sorted) over
     the pulled triangulations of the ridges that miss it, and so on down
     (`polytope._subfaces`)."""
-    f = p.facets[fi]
-    n = p.dim
-    pieces = []
-    for idx in _pulled_simplices(p, frozenset(f.vertex_indices), n - 1):
-        base = p.vertices[idx[0]]
-        rows = [vsub(p.vertices[i], base) for i in idx[1:]] + [f.normal]
-        measure = abs(determinant(Matrix.from_rows(rows, n))) / factorial(n - 1)
-        pieces.append((measure, idx))
-    return tuple(pieces)
+    return tuple(_pulled_simplices(p, frozenset(p.facets[fi].vertex_indices), p.dim - 1))
 
 
 @lru_cache(maxsize=256)
@@ -185,54 +165,49 @@ def _cone_table(p: Polytope) -> tuple[int, tuple[tuple[int, ...], ...],
     K_S = |det(V_v, v in S)| signed by the facet offset b.
 
     The cone from the origin over S has signed volume K_S / (D^n n!), and
-    (b / |a|^2) * measure(S) = K_S / (D^n (n-1)!) is the weight that
-    every distance-weighted facet integral over S carries.
+    (b/|a|) * vol_{n-1}(S) = K_S / (D^n (n-1)!) is the weight that every
+    distance-weighted facet integral over S carries.
     """
     d, verts = _cleared(p.vertices)
     cones = []
-    for f in p.facets:
+    for fi, f in enumerate(p.facets):
         sign = (f.offset > 0) - (f.offset < 0)
-        for idx in _pulled_simplices(p, frozenset(f.vertex_indices), p.dim - 1):
+        for idx in _facet_raw_table(p, fi):
             k = sign * abs(_bareiss([list(verts[i]) for i in idx]))
             if k:
                 cones.append((k, idx))
     return d, verts, tuple(cones)
 
 
-def _facet_raw(p: Polytope, fi: int, factors) -> Fraction:
-    """|a| * integral_F prod_t l_t dsigma, factors given per vertex of P."""
-    return sum((measure * _dirichlet_mean(factors, idx)
-                for measure, idx in _facet_raw_table(p, fi)), Fraction(0))
-
-
-def facet_moment(p: Polytope, facet, factors: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Distance-weighted facet integral (b/|a|) * integral_F prod_t l_t dsigma.
-
-    Each factor l_t is affine on the facet and given by its values at the
-    vertices of P, factors[t][i] = l_t(vertices[i]): a coordinate column,
-    or a facewise affine speed g, whose speed function equals g at the
-    vertices.  b/|a| is the signed distance from the origin to the facet
-    hyperplane, which cancels the surface-measure radical: the result is
-    rational.
-    """
-    fi = _facet_index(p, facet)
-    f = p.facets[fi]
-    return f.offset * _facet_raw(p, fi, factors) / dot(f.normal, f.normal)
-
-
 def boundary_moment(p: Polytope, poly) -> Fraction:
-    """Sum of distance-weighted facet integrals of a polynomial over all facets."""
-    columns = list(zip(*p.vertices))
-    return sum((c * facet_moment(p, fi, _monomial_factors(columns, alpha))
-                for alpha, c in as_poly(poly, p.dim).items()
-                for fi in range(len(p.facets))), Fraction(0))
+    """Sum over all facets F of the distance-weighted facet integrals
+    (b/|a|) * integral_F h dsigma of a polynomial h.
+
+    A monomial c x^alpha of degree k contributes c times the partition sums
+    of its coordinate factors on V, weighted by K_S (`_cone_table`), over
+    D^(n+k) (n-1+k)!.  The monomials are brought to the denominator of the
+    heaviest one and the coefficients to the lcm of theirs, so one
+    fraction is built at the end.
+    """
+    n = p.dim
+    d, verts, cones = _cone_table(p)
+    columns = list(zip(*verts))
+    terms = [(_monomial_factors(columns, alpha), c) for alpha, c in as_poly(poly, n).items()]
+    top = max((len(factors) for factors, _ in terms), default=0)
+    q, (coeffs,) = _cleared([[c for _, c in terms]])
+    total = 0
+    for (factors, _), c in zip(terms, coeffs):
+        k = len(factors)
+        lift = d ** (top - k) * factorial(n - 1 + top) // factorial(n - 1 + k)
+        total += c * lift * sum(w * _partition_sum(factors, idx) for w, idx in cones)
+    return Fraction(total, q * d ** (n + top) * factorial(n - 1 + top))
 
 
 @lru_cache(maxsize=256)
 def boundary_weights(p: Polytope) -> tuple[Vec, ...]:
-    """Per-vertex weight rows w_h with <w_h, g> = sum_F facet_moment(F, [h, g])
-    for h = 1, then x_i x_j (i <= j), then x_i: the boundary moments that
-    are linear in a speed g given by its vertex values.
+    """Per-vertex weight rows w_h with <w_h, g> = sum_F (b/|a|) integral_F h g
+    dsigma for h = 1, then x_i x_j (i <= j), then x_i: the boundary moments
+    that are linear in a speed g given by its vertex values.
 
     In the Dirichlet formula a facet simplex S of F gives its vertex v
 
@@ -240,7 +215,7 @@ def boundary_weights(p: Polytope) -> tuple[Vec, ...]:
         2 y_v z_v + sum y z + y_v sum z + z_v sum y + sum y sum z (y = x_i, z = x_j, k = 3),
         y_v + sum y                                              (y = x_i, k = 2),
 
-    with sums over the vertices of S, times (b/|a|^2) * measure * d!/(d+k)!
+    with sums over the vertices of S, times (b/|a|) * vol_{n-1}(S) * d!/(d+k)!
     for d = n-1, which is K_S / (D^n (n-1+k)!) (`_cone_table`).  The sums
     run in the integer coordinates V = D x, so the k = 3 and k = 2 rows
     carry a further D^2 and D, and each row becomes fractions only at the
@@ -273,8 +248,8 @@ def second_variation_weights(p: Polytope) -> tuple[int, tuple, tuple]:
     """The boundary moments that are quadratic in a speed g, as integer
     quadratic forms on its vertex values: (den, W0, W) with
 
-        g^T W0 g / den   = sum_F facet_moment(F, [g, g]),
-        g^T W_r g / den  = sum_F facet_moment(F, [g, g, x_i, x_j]),
+        g^T W0 g / den   = sum_F (b/|a|) integral_F g^2 dsigma,
+        g^T W_r g / den  = sum_F (b/|a|) integral_F g^2 x_i x_j dsigma,
 
     W0 and each W_r integer m x m matrices, r running over i <= j.
 

@@ -22,11 +22,10 @@ from isodecomp.exactnum import (
 )
 from isodecomp.moments import (
     MomentData,
-    _dirichlet_mean,
     _facet_raw_table,
     _monomial_factors,
+    as_poly,
     body_moments,
-    facet_moment,
 )
 from isodecomp.polytope import (
     Polytope,
@@ -647,13 +646,14 @@ def rs_tent_movement(rng: random.Random, body: Polytope):
 
 def first_derivatives_by_facets(body: Polytope, g) -> DerivativeReport:
     """Test oracle for boundary_first_derivatives: minus the distance-weighted
-    facet integrals of g, x_i g and x_i x_j g, one facet_moment call each."""
+    facet integrals of g, x_i g and x_i x_j g, one facet_moment_by_fractions
+    call each."""
     n = body.dim
     x = list(zip(*body.vertices))
 
     def moment(factors):
-        return -sum((facet_moment(body, fi, factors + [g]) for fi in range(len(body.facets))),
-                    Fraction(0))
+        return -sum((facet_moment_by_fractions(body, fi, factors + [g])
+                     for fi in range(len(body.facets))), Fraction(0))
 
     d_xx = tuple(tuple(moment([x[min(i, j)], x[max(i, j)]]) for j in range(n)) for i in range(n))
     return DerivativeReport(
@@ -687,14 +687,14 @@ def kernel_direction_by_basis(body: Polytope):
 
 def gap_integral_by_facets(body: Polytope, g) -> Fraction:
     """Test oracle for gap_integral: the distance-weighted integral of
-    f^2 (|x|^2 - (n+2)), summed facet by facet with one facet_moment call
-    per factor list."""
+    f^2 (|x|^2 - (n+2)), summed facet by facet with one
+    facet_moment_by_fractions call per factor list."""
     n = body.dim
     x = list(zip(*body.vertices))
     total = Fraction(0)
     for fi in range(len(body.facets)):
-        total += sum(facet_moment(body, fi, [g, g, x[i], x[i]]) for i in range(n))
-        total -= (n + 2) * facet_moment(body, fi, [g, g])
+        total += sum(facet_moment_by_fractions(body, fi, [g, g, x[i], x[i]]) for i in range(n))
+        total -= (n + 2) * facet_moment_by_fractions(body, fi, [g, g])
     return total
 
 
@@ -744,6 +744,79 @@ def finite_difference_oracle(p: Polytope, g: Sequence, quantity,
 # ---------------------------------------------------------------------------
 # Fraction oracles for the integer moment and second-variation routes
 
+@lru_cache(maxsize=None)
+def _partitions(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Set partitions of range(k), each as (prod_B (|B|-1)!, block bitmasks)."""
+    if k == 0:
+        return ((1, ()),)
+    out = []
+    bit = 1 << (k - 1)
+    for weight, blocks in _partitions(k - 1):
+        for b, block in enumerate(blocks):
+            out.append((weight * block.bit_count(), blocks[:b] + (block | bit,) + blocks[b + 1:]))
+        out.append((weight, blocks + (bit,)))
+    return tuple(out)
+
+
+def _dirichlet_mean(factors: Sequence[Sequence[Fraction]], idx: Sequence[int]) -> Fraction:
+    """Mean of prod_t l_t over the simplex with vertices w_i, i in idx,
+    where factors[t][i] = l_t(w_i):
+
+        d!/(d+k)! * sum over set partitions pi of {1..k} of
+            prod_{B in pi} (|B|-1)! * sum_v prod_{t in B} l_t(w_v),
+
+    the Dirichlet moments of the barycentric coordinates summed over
+    vertex tuples."""
+    d, k = len(idx) - 1, len(factors)
+    sums = [Fraction(0)] * (1 << k)  # by block bitmask: sum_i prod_{t in B} l_t(w_i)
+    for i in idx:
+        products = [Fraction(1)] * (1 << k)
+        for block in range(1, 1 << k):
+            low = block & -block
+            value = factors[low.bit_length() - 1][i]
+            products[block] = value if block == low else products[block ^ low] * value
+            sums[block] += products[block]
+    total = sum(weight * prod(sums[b] for b in blocks) for weight, blocks in _partitions(k))
+    return total * Fraction(factorial(d), factorial(d + k))
+
+
+@lru_cache(maxsize=4096)
+def facet_measures(p: Polytope, fi: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+    """The pulled (n-1)-simplices of facet fi, each as
+    (|det[diffs, a]| / (n-1)! = vol_{n-1}(S) * |a|, indices of its vertices in P)."""
+    f = p.facets[fi]
+    n = p.dim
+    pieces = []
+    for idx in _facet_raw_table(p, fi):
+        base = p.vertices[idx[0]]
+        rows = [vsub(p.vertices[i], base) for i in idx[1:]] + [f.normal]
+        measure = abs(determinant(Matrix.from_rows(rows, n))) / factorial(n - 1)
+        pieces.append((measure, idx))
+    return tuple(pieces)
+
+
+def facet_moment_by_fractions(p: Polytope, fi: int,
+                              factors: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Distance-weighted facet integral (b/|a|) * integral_F prod_t l_t dsigma
+    in Fractions, each factor given by its values at the vertices of P,
+    factors[t][i] = l_t(vertices[i]).  b/|a| is the signed distance from
+    the origin to the facet hyperplane, which cancels the surface-measure
+    radical."""
+    f = p.facets[fi]
+    raw = sum((measure * _dirichlet_mean(factors, idx) for measure, idx in facet_measures(p, fi)),
+              Fraction(0))
+    return f.offset * raw / dot(f.normal, f.normal)
+
+
+def boundary_moment_by_fractions(p: Polytope, poly) -> Fraction:
+    """Test oracle for moments.boundary_moment: one facet_moment_by_fractions
+    call per facet and monomial."""
+    columns = list(zip(*p.vertices))
+    return sum((c * facet_moment_by_fractions(p, fi, _monomial_factors(columns, alpha))
+                for alpha, c in as_poly(poly, p.dim).items()
+                for fi in range(len(p.facets))), Fraction(0))
+
+
 def cone_moments_by_fractions(p: Polytope, scale: Sequence[Fraction]) -> MomentData:
     """Test oracle for moments.cone_moments: the same cone sums over P's
     facet simplices, every vertex moved to v / scale(v) and every sum
@@ -764,7 +837,7 @@ def cone_moments_by_fractions(p: Polytope, scale: Sequence[Fraction]) -> MomentD
     second = [[Fraction(0)] * n for _ in range(n)]
     for fi, f in enumerate(p.facets):
         height = f.offset / (n * dot(f.normal, f.normal))
-        for measure, idx in _facet_raw_table(p, fi):
+        for measure, idx in facet_measures(p, fi):
             cone = measure * height / prod(scale[i] for i in idx)
             pts = [moved[i] for i in idx]
             s = [sum(q[a] for q in pts) for a in range(n)]
@@ -782,8 +855,8 @@ def cone_moments_by_fractions(p: Polytope, scale: Sequence[Fraction]) -> MomentD
 
 def second_derivatives_by_facets(p: Polytope, g) -> DerivativeReport:
     """Test oracle for boundary_second_derivatives: the distance-weighted
-    facet integrals of g^2 and g^2 x_i x_j, one facet_moment call per
-    facet and factor list, on top of boundary_first_derivatives."""
+    facet integrals of g^2 and g^2 x_i x_j, one facet_moment_by_fractions
+    call per facet and factor list, on top of boundary_first_derivatives."""
     g = _check_speed(p, g)
     first = boundary_first_derivatives(p, g)
     forms = _facet_linear_forms(p, g)
@@ -794,10 +867,10 @@ def second_derivatives_by_facets(p: Polytope, g) -> DerivativeReport:
     for fi, c in enumerate(forms):
         if is_zero_vec(c):
             continue
-        s_f2 += facet_moment(p, fi, [g, g])
+        s_f2 += facet_moment_by_fractions(p, fi, [g, g])
         for i in range(n):
             for j in range(i, n):
-                s_f2xx[i][j] += facet_moment(p, fi, [g, g, x[i], x[j]])
+                s_f2xx[i][j] += facet_moment_by_fractions(p, fi, [g, g, x[i], x[j]])
     dd_xx = [[(n + 3) * s_f2xx[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     return DerivativeReport(
         d_vol=first.d_vol, d_x=first.d_x, d_xx=first.d_xx, d_x2=first.d_x2,

@@ -253,15 +253,20 @@ ONES_4 = json.dumps(["1"] * 4)
     ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--t-range=-1/4"],
     ["summands", SQUARE_FILE, "--speed", '["1", "2", "1", "2"]', "--eps", "0"],
     ["summands", SQUARE_FILE, "--speed", '["1", "2", "1", "2"]', "--eps=-1/4"],
+    ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--grid", "2"],
+    ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", ONES_4, "--grid=-4"],
 ], ids=["fd-step-letters", "fd-step-zero-denominator", "certify-fd-step-zero",
         "variation-fd-step-zero", "fd-step-negative", "eps-letters", "t-range-zero-denominator",
-        "t-range-zero", "t-range-negative", "eps-zero", "eps-negative"])
+        "t-range-zero", "t-range-negative", "eps-zero", "eps-negative", "grid-2",
+        "grid-negative"])
 def test_bad_numeric_flags_exit_2(argv, tmp_path):
     code, err = run_cli(argv, tmp_path)
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     if argv[-1].startswith(("--fd-step=-", "--t-range=-", "--eps=-")):
         assert "must be positive" in err
+    if any(a.startswith("--grid") for a in argv):
+        assert "--grid must be at least 3" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -271,7 +276,13 @@ def test_bad_numeric_flags_exit_2(argv, tmp_path):
     ["shadow", SQUARE_FILE, "--dir", '["1", "0"]', "--beta", '["b", 0, 0, 0]'],
     ["symmetric", SQUARE_FILE, "--generators", '[[["a", "0"], ["0", "1"]]]'],
     ["certify", SQUARE_FILE, "--generators", "[1]"],
-], ids=["speed", "speed-zero-denominator", "dir", "beta", "generators", "generators-shape"])
+    ["symmetric", SQUARE_FILE, "--generators", "[[]]"],
+    ["symmetric", SQUARE_FILE, "--generators", '[[["1", "0"], ["0"]]]'],
+    ["certify", SQUARE_FILE, "--generators", "[[]]"],
+    ["certify", SQUARE_FILE, "--generators", '[[["1", "0"], ["0"]]]'],
+], ids=["speed", "speed-zero-denominator", "dir", "beta", "generators", "generators-shape",
+        "generators-empty", "generators-ragged", "certify-generators-empty",
+        "certify-generators-ragged"])
 def test_non_rational_json_entries_exit_2(argv, tmp_path):
     code, err = run_cli(argv, tmp_path)
     assert code == 2
@@ -479,8 +490,8 @@ def test_certify_computes_f_once_per_body(monkeypatch, capsys, body_file):
 
 
 def test_main_frees_its_parser(capsys):
-    """The argparse parser is a web of reference cycles; main() collects it
-    itself, so repeated in-process calls do not wait for a full collection."""
+    """The argparse parser is a web of reference cycles; main() builds it
+    once, so repeated in-process calls leave no parser behind."""
     gc.collect()
     gc.disable()
     try:
@@ -493,3 +504,19 @@ def test_main_frees_its_parser(capsys):
         gc.garbage.clear()
         gc.enable()
     assert left == []
+
+
+def test_in_process_runs_match_fresh_runs(capsys):
+    """Repeated in-process calls of main() share one parser; each, a failed
+    parse included, prints and exits as a fresh interpreter does."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(isodecomp.__file__)))
+    for argv in (["lk", HEXAGON_FILE], ["certify", HEXAGON_FILE],
+                 ["certify", HEXAGON_FILE, "--fd-step", "0"], ["lk", HEXAGON_FILE]):
+        fresh = subprocess.run([sys.executable, "-m", "isodecomp"] + argv, env=env,
+                               capture_output=True, text=True, timeout=60)
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv

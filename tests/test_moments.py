@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import factorial, sqrt
 
 import pytest
@@ -13,14 +14,13 @@ from isodecomp.moments import (
     body_moments,
     boundary_weights,
     cone_moments,
-    facet_moment,
     boundary_moment,
     isotropy,
     l_pow_2n,
     poly_const,
     poly_norm2,
 )
-from isodecomp.polytope import affine_image, scale, translate
+from isodecomp.polytope import affine_image, hull_facets, scale, translate
 from isodecomp.variations import eps_bound
 
 UNIT_SIMPLEX_2D = [(0, 0), (1, 0), (0, 1)]
@@ -87,17 +87,20 @@ def test_facet_simplices_tile_each_facet(square, cube3, octahedron, hexagon):
     """Each facet's pulled simplices are proper (n-1)-simplices on its
     vertices whose measures add up to the facet's, as measured over the
     independent chart triangulation."""
+    def measure(simplex, normal):
+        rows = [vsub(q, simplex[0]) for q in simplex[1:]] + [normal]
+        return abs(determinant(Matrix.from_rows(rows))) / factorial(len(normal) - 1)
+
     for body in [square, cube3, octahedron, hexagon, *nonsimplicial_in_two_frames()]:
         n = body.dim
         for fi, f in enumerate(body.facets):
             pieces = moments._facet_raw_table(body, fi)
-            for measure, idx in pieces:
-                assert measure > 0 and len(set(idx)) == n, (body, fi, idx)
+            measures = [measure([body.vertices[i] for i in idx], f.normal) for idx in pieces]
+            for m, idx in zip(measures, pieces):
+                assert m > 0 and len(set(idx)) == n, (body, fi, idx)
                 assert set(idx) <= set(f.vertex_indices), (body, fi, idx)
             chart = support._triangulate_convex_points([body.vertices[i] for i in f.vertex_indices])
-            expected = sum(abs(determinant(Matrix.from_rows(
-                [vsub(q, s[0]) for q in s[1:]] + [f.normal]))) for s in chart) / factorial(n - 1)
-            assert sum(measure for measure, _ in pieces) == expected, (body, fi)
+            assert sum(measures) == sum(measure(s, f.normal) for s in chart), (body, fi)
 
 
 def test_body_moments_match_reference(square, cube3, octahedron, hexagon, triangle_o,
@@ -222,8 +225,34 @@ def test_divergence_identities_on_fixtures(square, cube3, octahedron, hexagon, t
 
 
 def test_cube_weighted_area_sum(cube3):
-    total = sum(facet_moment(cube3, i, []) for i in range(6))
+    total = sum(support.facet_moment_by_fractions(cube3, i, []) for i in range(6))
     assert total == 24  # n * vol = 3 * 8
+
+
+def segment_from_origin():
+    """[0, 5/2]: a 1-D body whose facet at the origin has offset 0."""
+    return hull_facets([(F(0),), (F(5, 2),)])
+
+
+def test_boundary_moment_matches_fraction_oracle(square, cube3, octahedron, hexagon, triangle_o,
+                                                 standard_triangle):
+    """Every monomial of degree <= 4 with a rational coefficient, one at a
+    time and all together, integrates over the facets as the Fraction
+    Dirichlet route does, also off the origin and in one dimension."""
+    bodies = [square, cube3, octahedron, hexagon, triangle_o, standard_triangle,
+              *support.uncentred_bodies(), support.cross_polytope(4), segment_from_origin()]
+    for body in bodies:
+        n = body.dim
+        monomials = [alpha for alpha in product(range(5), repeat=n) if sum(alpha) <= 4]
+        coeffs = {alpha: F(-1) ** r * F(r + 2, 2 * r + 3) for r, alpha in enumerate(monomials)}
+        expected = {alpha: support.boundary_moment_by_fractions(body, {alpha: c})
+                    for alpha, c in coeffs.items()}
+        for alpha, c in coeffs.items():
+            assert boundary_moment(body, {alpha: c}) == expected[alpha], (body, alpha)
+        assert boundary_moment(body, coeffs) == sum(expected.values()), body
+        assert boundary_moment(body, {}) == 0
+        with pytest.raises(UnsupportedDegree):
+            boundary_moment(body, {(5,) + (0,) * (n - 1): 1})
 
 
 def test_monte_carlo_sanity():
@@ -256,11 +285,6 @@ def test_second_moments_positive_definite_guard():
         assert determinant(sub) > 0
 
 
-def test_facet_moment_accepts_facet_object(square):
-    f = next(f for f in square.facets if f.normal == (F(1), F(0)))
-    assert facet_moment(square, f, []) == 2
-
-
 def test_cone_moments_match_fraction_oracle():
     """The integer cone sums equal the Fraction cone sums exactly: at unit
     scale and at scale 1 + t g for t = +-h, +-2h, with h = 1/10^9 and
@@ -285,9 +309,9 @@ def test_cone_moments_match_fraction_oracle():
 
 
 def test_second_variation_weights_match_facet_moments():
-    """The assembled quadratic forms equal the facet-by-facet Dirichlet
-    sums of g^2 and g^2 x_i x_j, also off the origin and for vertex values
-    that are not facewise affine."""
+    """The assembled quadratic forms equal the facet-by-facet Fraction
+    Dirichlet sums of g^2 and g^2 x_i x_j, also off the origin and for
+    vertex values that are not facewise affine."""
     rng = random.Random(61)
     for body in support.uncentred_bodies() + [support.cell24(), support.random_polytope(rng, 4, 8)]:
         n = body.dim
@@ -301,8 +325,8 @@ def test_second_variation_weights_match_facet_moments():
                            for v, b in enumerate(g)) / den
 
             def facet_sum(factors):
-                return sum((facet_moment(body, fi, factors) for fi in range(len(body.facets))),
-                           F(0))
+                return sum((support.facet_moment_by_fractions(body, fi, factors)
+                            for fi in range(len(body.facets))), F(0))
 
             assert form(w0) == facet_sum([g, g]), (body, g)
             for (i, j), mat in zip(pairs, w):
