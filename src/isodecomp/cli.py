@@ -1,25 +1,25 @@
 """Command-line interface, JSON/CSV report generation, and the planar
 quasi-convexity counterexample search.
 
-Exit codes: 0 success, 2 polytope validation failure, 3 violated
-operation precondition, 4 failed internal cross-check.  All reports carry
-exact values as "p/q" strings next to 12-significant-digit float
-renderings; identical configuration (including seed) produces
-byte-identical output.
+One parser, built at import, gives each subcommand only the flags it
+reads and converts and checks them; RunConfig holds every default.  Exit
+codes: 0 success, 2 validation failure (a bad flag included), 3 violated
+precondition, 4 failed internal cross-check.  Reports carry exact "p/q"
+strings next to 12-significant-digit floats, null (an empty CSV cell)
+where no finite float holds the value; identical configuration (including
+seed) produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Sequence
 
 from . import decomp, moments, polytope, variations
@@ -28,18 +28,17 @@ from .exactnum import Matrix, rat, to_decimal_str, vec
 from .polytope import Polytope
 
 DEFAULT_PRECISION_BITS = 53
-DEFAULT_SEED = 0
-DEFAULT_BUDGET = 10_000
 
 
 @dataclass
 class RunConfig:
+    """The settings of one run; every flag's default lives here."""
     subcommand: str
-    inputs: list[str]
+    inputs: list[str] = field(default_factory=list)
     precision: int = DEFAULT_PRECISION_BITS
     fd_step: Fraction = variations.DEFAULT_FD_STEP
-    seed: int = DEFAULT_SEED
-    budget: int = DEFAULT_BUDGET
+    seed: int = 0
+    budget: int = 10_000
     vertex_range: tuple[int, int] = (3, 8)
     denominator_bound: int = 12
     out: str | None = None
@@ -52,16 +51,22 @@ class RunConfig:
     t_range: Fraction = Fraction(1, 4)
 
 
-def _jfloat(x) -> float:
-    return float("%.12g" % float(x))
+def _jfloat(x) -> float | None:
+    """x to 12 significant digits, or None where no finite float holds it."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return None
+    return float("%.12g" % f) if isfinite(f) else None
 
 
-def _exact(x: Fraction) -> str:
-    return str(x)
+def _csv_float(x) -> str:
+    f = _jfloat(x)
+    return "" if f is None else "%.12g" % f
 
 
 def _exact_pair(x: Fraction, precision: int | None = None) -> dict:
-    out = {"exact": _exact(x), "float": _jfloat(x)}
+    out = {"exact": str(x), "float": _jfloat(x)}
     if precision and precision > DEFAULT_PRECISION_BITS:
         digits = max(12, -(-precision * 30103 // 100000))
         out["decimal"] = to_decimal_str(x, digits)
@@ -108,20 +113,18 @@ def _speed_from_arg(p: Polytope, value: str, what: str = "--speed"):
     return g
 
 
-def _emit(config: RunConfig, payload, text: str | None = None) -> None:
+def _emit(config: RunConfig, payload, text: str = "") -> None:
+    """Write the report to --out, or to stdout after the text."""
     if isinstance(payload, str):
         rendered = payload
     else:
-        rendered = json.dumps(payload, indent=2) + "\n"
+        rendered = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(rendered)
-        if text:
-            sys.stdout.write(text)
     else:
-        if text:
-            sys.stdout.write(text)
-        sys.stdout.write(rendered)
+        text += rendered
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +220,10 @@ def _variation_report(p: Polytope, g, fd_step: Fraction) -> dict:
     fd = variations.finite_difference_report(p, g, h)
     return {
         "speed": _vec_exact(g),
-        "eps_bound": _exact(eps),
+        "eps_bound": str(eps),
         "exact": _derivative_report_dict(exact),
         "finite_difference": {
-            "step": _exact(h),
+            "step": str(h),
             "d_vol": _jfloat(fd.d_vol),
             "d_x2": _jfloat(fd.d_x2),
             "dd_vol": _jfloat(fd.dd_vol),
@@ -606,7 +609,7 @@ def run(config: RunConfig) -> int:
         q, r = decomp.summand_pair(body, g, eps)
         doubled = polytope.scale(polytope.polar(body), Fraction(2))
         _emit(config, {
-            "eps": _exact(eps),
+            "eps": str(eps),
             "summand_plus": polytope.to_json_dict(q),
             "summand_minus": polytope.to_json_dict(r),
             "reconstructs_double_polar": polytope.minkowski_sum(q, r) == doubled,
@@ -632,8 +635,8 @@ def run(config: RunConfig) -> int:
             body_t = variations.shadow_polytope(system, ti)
             md = moments.body_moments(body_t)
             l2n = md.l_pow_2n()
-            lines.append("%s,%s,%.12g,%s,%.12g" % (
-                ti, md.volume, float(md.volume), l2n, float(l2n)))
+            lines.append("%s,%s,%s,%s,%s" % (
+                ti, md.volume, _csv_float(md.volume), l2n, _csv_float(l2n)))
         _emit(config, "\n".join(lines) + "\n")
     elif cmd == "rs-dim":
         direction = _rational_arg(config.direction, vec, "--dir")
@@ -647,124 +650,98 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
+def _checked(convert, kind: str, ok, need: str):
+    """An argparse type: convert the text, refusing it unless ok(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError("must be %s, got %s" % (kind, text)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError("must be %s, got %s" % (need, text))
+        return value
+    return parse
+
+
+def _int_at_least(low: int):
+    return _checked(int, "an integer", lambda k: k >= low, "at least %d" % low)
+
+
+_POSITIVE_RATIONAL = _checked(rat, "a rational p/q", lambda x: x > 0, "positive")
+_VERTEX_RANGE = _checked(lambda text: tuple(int(k) for k in text.split(":")), "min:max",
+                         lambda r: len(r) == 2 and 3 <= r[0] <= r[1], "min:max, 3 <= min <= max")
+
+_JSON = "JSON, inline or a file path"
+_FLAGS = {
+    "--out": dict(help="write the report to this file"),
+    "--precision": dict(type=int, help="bits; above %d the headline exact values gain a long "
+                        "decimal (default $ISODECOMP_PRECISION)" % DEFAULT_PRECISION_BITS),
+    "--fd-step": dict(type=_POSITIVE_RATIONAL, help="finite difference step p/q > 0"),
+    "--speed": dict(help="one speed per vertex, " + _JSON),
+    "--eps": dict(type=_POSITIVE_RATIONAL, help="perturbation size p/q > 0 (default: eps bound)"),
+    "--generators": dict(help="list of rational matrices, " + _JSON),
+    "--dir": dict(dest="direction", help="direction vector, " + _JSON),
+    "--beta": dict(help="one shadow speed per vertex, " + _JSON),
+    "--grid": dict(type=_int_at_least(3), help="number of samples of t (>= 3)"),
+    "--t-range": dict(type=_POSITIVE_RATIONAL, help="sample t in [-r, r] for this p/q > 0"),
+    "--seed": dict(type=int),
+    "--budget": dict(type=_int_at_least(0), help="number of trials (>= 0)"),
+    "--vertices": dict(dest="vertex_range", metavar="MIN:MAX", type=_VERTEX_RANGE,
+                       help="range of the vertex count"),
+    "--denominator-bound": dict(type=_int_at_least(1), help="bound of the drawn denominators"),
+}
+
+# subcommand: (the flags it requires, the optional flags it reads); every
+# subcommand also takes --out, and all but the search an input file
+_SUBCOMMANDS = {
+    "moments": ((), ("--precision",)),
+    "lk": ((), ("--precision",)),
+    "decomp": ((), ()), "components": ((), ()), "polar": ((), ()),
+    "summands": (("--speed",), ("--eps",)),
+    "symmetric": (("--generators",), ()),
+    "variation": (("--speed",), ("--fd-step",)),
+    "certify": ((), ("--precision", "--fd-step", "--generators")),
+    "shadow": (("--dir", "--beta"), ("--grid", "--t-range")),
+    "rs-dim": (("--dir",), ()),
+    "quasiconvex-search": ((), ("--seed", "--budget", "--vertices", "--denominator-bound")),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isodecomp",
         description="exact decomposability analysis of rational polytopes "
                     "against local-maximizer conditions for the isotropic constant")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, with_input=True):
-        if with_input:
-            sp.add_argument("input", help="polytope JSON file")
-        sp.add_argument("--precision", type=int, default=None,
-                        help="decimal rendering precision in bits (>= 53; default "
-                             "$ISODECOMP_PRECISION, else %d)" % DEFAULT_PRECISION_BITS)
-        sp.add_argument("--fd-step", default=None, help="finite difference step p/q")
-        sp.add_argument("--out", default=None, help="write the report to a file")
-
-    for name in ("moments", "lk", "decomp", "components", "polar"):
-        common(sub.add_parser(name))
-    sp = sub.add_parser("summands")
-    common(sp)
-    sp.add_argument("--speed", required=True, help="vertex speed JSON (inline or file)")
-    sp.add_argument("--eps", default=None, help="perturbation size p/q")
-    sp = sub.add_parser("symmetric")
-    common(sp)
-    sp.add_argument("--generators", required=True, help="JSON list of rational matrices")
-    sp = sub.add_parser("variation")
-    common(sp)
-    sp.add_argument("--speed", required=True, help="vertex speed JSON (inline or file)")
-    sp = sub.add_parser("certify")
-    common(sp)
-    sp.add_argument("--generators", default=None, help="JSON list of rational matrices")
-    sp = sub.add_parser("shadow")
-    common(sp)
-    sp.add_argument("--dir", dest="direction", required=True, help="direction JSON")
-    sp.add_argument("--beta", required=True, help="vertex speed JSON")
-    sp.add_argument("--grid", type=int, default=9)
-    sp.add_argument("--t-range", dest="t_range", default="1/4")
-    sp = sub.add_parser("rs-dim")
-    common(sp)
-    sp.add_argument("--dir", dest="direction", required=True, help="direction JSON")
-    sp = sub.add_parser("quasiconvex-search")
-    common(sp, with_input=False)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--vertices", default="3:8", help="vertex count range min:max")
-    sp.add_argument("--denominator-bound", type=int, default=12)
+    for name, (required, optional) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name)
+        if name != "quasiconvex-search":
+            sp.add_argument("inputs", nargs=1, metavar="input", help="polytope JSON file")
+        for flag in ("--out",) + required + optional:
+            sp.add_argument(flag, required=flag in required, **_FLAGS[flag])
     return parser
 
 
-def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand,
-                    inputs=[getattr(args, "input")] if hasattr(args, "input") else [])
+# argparse parses and checks every flag; it leaves out the ones not given,
+# so RunConfig's defaults apply
+_PARSER = _build_parser()
 
-    def rational_flag(flag: str, value: str) -> Fraction:
-        try:
-            return rat(value)
-        except (ValueError, ZeroDivisionError):
-            parser.error("%s must be a rational p/q, got %r" % (flag, value))
 
-    precision = args.precision
-    if precision is None:
-        env = os.environ.get("ISODECOMP_PRECISION", str(DEFAULT_PRECISION_BITS))
+def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """RunConfig of the given flags; where --precision is read and not
+    given, $ISODECOMP_PRECISION stands in for it."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    env = os.environ.get("ISODECOMP_PRECISION")
+    if hasattr(args, "precision") and args.precision is None and env is not None:
         try:
-            precision = int(env)
+            given["precision"] = int(env)
         except ValueError:
-            parser.error("ISODECOMP_PRECISION must be an integer number of bits, got %r" % env)
-    cfg.precision = max(DEFAULT_PRECISION_BITS, precision)
-    if getattr(args, "fd_step", None):
-        cfg.fd_step = rational_flag("--fd-step", args.fd_step)
-        if cfg.fd_step <= 0:
-            parser.error("--fd-step must be positive, got %r" % args.fd_step)
-    cfg.out = getattr(args, "out", None)
-    cfg.generators = getattr(args, "generators", None)
-    cfg.speed = getattr(args, "speed", None)
-    if getattr(args, "eps", None):
-        cfg.eps = rational_flag("--eps", args.eps)
-        if cfg.eps <= 0:
-            parser.error("--eps must be positive, got %r" % args.eps)
-    cfg.direction = getattr(args, "direction", None)
-    cfg.beta = getattr(args, "beta", None)
-    if hasattr(args, "grid"):
-        if args.grid < 3:
-            parser.error("--grid must be at least 3, got %d" % args.grid)
-        cfg.grid = args.grid
-    if getattr(args, "t_range", None):
-        cfg.t_range = rational_flag("--t-range", args.t_range)
-        if cfg.t_range <= 0:
-            parser.error("--t-range must be positive, got %r" % args.t_range)
-    if hasattr(args, "seed"):
-        cfg.seed = args.seed
-    if hasattr(args, "budget"):
-        if args.budget < 0:
-            parser.error("--budget must be at least 0, got %d" % args.budget)
-        cfg.budget = args.budget
-    if getattr(args, "vertices", None):
-        try:
-            lo, hi = (int(k) for k in args.vertices.split(":"))
-        except ValueError:
-            parser.error("--vertices must read min:max, got %r" % args.vertices)
-        if not 3 <= lo <= hi:
-            parser.error("--vertices needs 3 <= min <= max, got %r" % args.vertices)
-        cfg.vertex_range = (lo, hi)
-    if hasattr(args, "denominator_bound"):
-        if args.denominator_bound < 1:
-            parser.error("--denominator-bound must be at least 1")
-        cfg.denominator_bound = args.denominator_bound
-    return cfg
+            _PARSER.error("ISODECOMP_PRECISION must be an integer number of bits, got %r" % env)
+    return RunConfig(**given)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    config = config_from_args(parser.parse_args(argv), parser)
-    # A caller that clears the package's functools caches between calls
-    # drops the parser, a web of reference cycles.  Collecting the young
-    # generations here frees most such parsers before they age into the
-    # oldest one, which is collected rarely.
-    gc.collect(1)
+    config = config_from_args(_PARSER.parse_args(argv))
     try:
         return run(config)
     except ValidationError as exc:

@@ -30,12 +30,13 @@ def rat(x) -> Fraction:
     """Coerce an int, string ("p/q" or "p") or Fraction to Fraction.
 
     Floats are refused: silent binary-to-rational conversion is how
-    exactness is usually lost.
+    exactness is usually lost.  So are bools, which a JSON `true` would
+    otherwise turn into 1.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError("refusing to coerce float %r to an exact rational" % x)
+    if isinstance(x, (float, bool)):
+        raise TypeError("refusing to coerce %s %r to an exact rational" % (type(x).__name__, x))
     return Fraction(x)
 
 

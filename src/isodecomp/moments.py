@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DegeneratePolytope, UnsupportedDegree
 from .exactnum import Matrix, Vec, _bareiss, _cleared, determinant, rat
-from .polytope import Polytope, _subfaces
+from .polytope import Polytope, _pulled_simplices
 
 # sparse polynomial: exponent tuple (length n) -> rational coefficient
 Poly = dict[tuple[int, ...], Fraction]
@@ -133,17 +133,6 @@ def _partition_sum(factors: Sequence[Sequence[int]], idx: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # facet triangulation
 
-def _pulled_simplices(p: Polytope, face: frozenset[int], k: int) -> list[tuple[int, ...]]:
-    """Pulling triangulation of a k-face of P, as vertex-index tuples: its
-    smallest vertex index coned over the triangulated (k-1)-faces that
-    miss it."""
-    if len(face) == k + 1:
-        return [tuple(sorted(face))]
-    apex = min(face)
-    return [(apex,) + s for sub in _subfaces(p, face, k) if apex not in sub
-            for s in _pulled_simplices(p, sub, k - 1)]
-
-
 @lru_cache(maxsize=4096)
 def _facet_raw_table(p: Polytope, fi: int) -> tuple[tuple[int, ...], ...]:
     """The (n-1)-simplices of facet fi pulled from P's incidences, as
@@ -152,7 +141,7 @@ def _facet_raw_table(p: Polytope, fi: int) -> tuple[tuple[int, ...], ...]:
     The facet is coned from its smallest vertex index (its
     lexicographically smallest vertex, since vertices are sorted) over
     the pulled triangulations of the ridges that miss it, and so on down
-    (`polytope._subfaces`)."""
+    (`polytope._pulled_simplices`)."""
     return tuple(_pulled_simplices(p, frozenset(p.facets[fi].vertex_indices), p.dim - 1))
 
 
@@ -427,18 +416,25 @@ def isotropy(p: Polytope) -> IsotropyReport:
 
     The map M with A_{M(K - c)} approximately the identity is the float
     inverse square root of the covariance, rendered by the lk report and
-    used nowhere else; the reported residual is max |M A M^T - I|.  numpy
-    is imported here, so importing the package does not load it.
+    used nowhere else; the reported residual is max |M A M^T - I|.  Where
+    floats cannot hold the covariance or the map, their entries are NaN
+    or infinite.  numpy is imported here, so importing the package does
+    not load it.
     """
     import numpy as np
 
     md = body_moments(p)
     cov = md.covariance()
     l2n = md.l_pow_2n()
-    a = np.array([[float(x) for x in row] for row in cov.rows], dtype=float)
-    evals, evecs = np.linalg.eigh(a)
-    m = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    residual = float(np.max(np.abs(m @ a @ m.T - np.eye(p.dim))))
+    try:
+        a = np.array([[float(x) for x in row] for row in cov.rows], dtype=float)
+    except OverflowError:
+        m, residual = np.full((p.dim, p.dim), np.nan), float("nan")
+    else:
+        with np.errstate(all="ignore"):
+            evals, evecs = np.linalg.eigh(a)
+            m = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
+            residual = float(np.max(np.abs(m @ a @ m.T - np.eye(p.dim))))
     return IsotropyReport(
         centroid=md.centroid(),
         covariance=cov,

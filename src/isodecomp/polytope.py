@@ -132,6 +132,35 @@ def _subfaces(p: Polytope, face: frozenset[int], k: int) -> list[frozenset[int]]
     return out
 
 
+def _pulled_simplices(p: Polytope, face: frozenset[int], k: int) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a k-face of P, as vertex-index tuples: its
+    smallest vertex index coned over the triangulated (k-1)-faces that
+    miss it."""
+    if len(face) == k + 1:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    return [(apex,) + s for sub in _subfaces(p, face, k) if apex not in sub
+            for s in _pulled_simplices(p, sub, k - 1)]
+
+
+def _check_closed(body: Polytope) -> None:
+    """The facets close up: pulling every facet with one vertex order
+    triangulates the boundary consistently, so each (n-2)-face of a facet
+    simplex lies in exactly two of them exactly when no facet is missing
+    or listed twice."""
+    n = body.dim
+    count: dict[tuple[int, ...], int] = {}
+    for f in body.facets:
+        for simplex in _pulled_simplices(body, frozenset(f.vertex_indices), n - 1):
+            for ridge in combinations(simplex, n - 1):
+                count[ridge] = count.get(ridge, 0) + 1
+    for ridge, c in count.items():
+        if c != 2:
+            raise IncidenceMismatch("the facets do not close up: the face %s of the facet "
+                                    "triangulation lies in %d facet simplices, not 2"
+                                    % (list(ridge), c))
+
+
 def validate(vertices: Sequence[Sequence], facets: Sequence[tuple | Facet]) -> Polytope:
     """Check every polytope invariant exactly and return the canonical body.
 
@@ -174,6 +203,8 @@ def validate(vertices: Sequence[Sequence], facets: Sequence[tuple | Facet]) -> P
 
     body = _canonical(n, verts, raw)
     _check_structure(body)
+    if n >= 2:
+        _check_closed(body)
     return body
 
 

@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,7 +13,7 @@ import pytest
 
 import isodecomp
 import support
-from isodecomp import decomp, polytope
+from isodecomp import cli, decomp, polytope
 from isodecomp.cli import (
     RunConfig,
     main,
@@ -183,8 +185,9 @@ TRIANGLE_JSON = [["0", "0"], ["1", "0"], ["0", "1"]]
     {"dim": "2", "vertices": TRIANGLE_JSON},
     {"dim": True, "vertices": TRIANGLE_JSON},
     {"vertices": TRIANGLE_JSON, "facets": [{"normal": [0, 0], "offset": 0, "vertices": [0]}]},
+    {"vertices": [[True, 0], [0, True], [0, 0]]},
 ], ids=["float", "letter", "no-vertices", "facet-index-out-of-range", "dim-string", "dim-bool",
-        "facet-normal-zero"])
+        "facet-normal-zero", "vertex-bool"])
 def test_malformed_body_exits_2(data, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(data))
     code, err = run_cli(["lk", "bad.json"], tmp_path)
@@ -266,7 +269,7 @@ def test_bad_numeric_flags_exit_2(argv, tmp_path):
     if argv[-1].startswith(("--fd-step=-", "--t-range=-", "--eps=-")):
         assert "must be positive" in err
     if any(a.startswith("--grid") for a in argv):
-        assert "--grid must be at least 3" in err
+        assert "argument --grid: must be at least 3" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,9 +283,10 @@ def test_bad_numeric_flags_exit_2(argv, tmp_path):
     ["symmetric", SQUARE_FILE, "--generators", '[[["1", "0"], ["0"]]]'],
     ["certify", SQUARE_FILE, "--generators", "[[]]"],
     ["certify", SQUARE_FILE, "--generators", '[[["1", "0"], ["0"]]]'],
+    ["variation", SQUARE_FILE, "--speed", "[true, true, true, true]"],
 ], ids=["speed", "speed-zero-denominator", "dir", "beta", "generators", "generators-shape",
         "generators-empty", "generators-ragged", "certify-generators-empty",
-        "certify-generators-ragged"])
+        "certify-generators-ragged", "speed-bool"])
 def test_non_rational_json_entries_exit_2(argv, tmp_path):
     code, err = run_cli(argv, tmp_path)
     assert code == 2
@@ -490,8 +494,9 @@ def test_certify_computes_f_once_per_body(monkeypatch, capsys, body_file):
 
 
 def test_main_frees_its_parser(capsys):
-    """The argparse parser is a web of reference cycles; main() builds it
-    once, so repeated in-process calls leave no parser behind."""
+    """The argparse parser is a web of reference cycles; it is built once,
+    at import, and main() only parses, so an in-process call leaves no
+    argparse garbage behind."""
     gc.collect()
     gc.disable()
     try:
@@ -520,3 +525,119 @@ def test_in_process_runs_match_fresh_runs(capsys):
         except SystemExit as exc:
             code = exc.code
         assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+
+
+# the flags each subcommand takes besides --out; all but the search read a body
+FLAG_TABLE = {
+    "moments": {"--precision"},
+    "lk": {"--precision"},
+    "decomp": set(),
+    "components": set(),
+    "polar": set(),
+    "summands": {"--speed", "--eps"},
+    "symmetric": {"--generators"},
+    "variation": {"--speed", "--fd-step"},
+    "certify": {"--precision", "--fd-step", "--generators"},
+    "shadow": {"--dir", "--beta", "--grid", "--t-range"},
+    "rs-dim": {"--dir"},
+    "quasiconvex-search": {"--seed", "--budget", "--vertices", "--denominator-bound"},
+}
+FLAG_VALUES = {
+    "--out": "report.json", "--precision": "80", "--fd-step": "1/2", "--speed": ONES_4,
+    "--eps": "1/8", "--generators": "[]", "--dir": '["1", "0"]', "--beta": ONES_4,
+    "--grid": "5", "--t-range": "1/8", "--seed": "1", "--budget": "3", "--vertices": "3:5",
+    "--denominator-bound": "4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+def test_each_subcommand_takes_only_the_flags_it_reads(command, capsys):
+    """Each subcommand parses all of its flags, and refuses every other
+    one as unrecognized (exit 2) instead of ignoring it."""
+    assert sum(len(flags) + 1 for flags in FLAG_TABLE.values()) == 31
+    base = [command] + ([] if command == "quasiconvex-search" else [SQUARE_FILE])
+    takes = sorted(FLAG_TABLE[command] | {"--out"})
+    argv = base + [a for flag in takes for a in (flag, FLAG_VALUES[flag])]
+    args = vars(cli._PARSER.parse_args(argv))
+    assert sum(v is not None for v in args.values()) == len(takes) + len(base)
+    for flag in sorted(set(FLAG_VALUES) - set(takes)):
+        with pytest.raises(SystemExit) as exc:
+            cli._PARSER.parse_args(argv + [flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["polar", SQUARE_FILE, "--fd-step", "1/2"],
+    ["decomp", SQUARE_FILE, "--precision", "80"],
+    ["quasiconvex-search", "--fd-step", "1/2"],
+], ids=["polar-fd-step", "decomp-precision", "search-fd-step"])
+def test_ignored_flags_exit_2(argv, tmp_path):
+    code, err = run_cli(argv, tmp_path)
+    assert code == 2
+    assert "unrecognized arguments: %s %s" % tuple(argv[-2:]) in err and "Traceback" not in err
+
+
+def test_open_facet_list_exits_2(tmp_path):
+    """A cuboctahedron without one square facet passes every per-facet and
+    per-vertex check; certify refuses it instead of printing a wrong L."""
+    cubo = polytope.hull_facets([p for p in itertools.product((-1, 0, 1), repeat=3)
+                                 if sorted(map(abs, p)) == [0, 1, 1]])
+    data = polytope.to_json_dict(cubo)
+    squares = [f for f in data["facets"] if len(f["vertices"]) == 4]
+    data["facets"] = [f for f in data["facets"] if f is not squares[0]]
+    (tmp_path / "open.json").write_text(json.dumps(data))
+    code, err = run_cli(["certify", "open.json"], tmp_path)
+    assert code == 2
+    assert "do not close up" in err and "Traceback" not in err
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError("non-JSON token %s" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("exponent", [200, -200], ids=["huge", "tiny"])
+@pytest.mark.parametrize("flags", [
+    ["moments"], ["lk"], ["variation", "--speed", "[1, 0, 0]"],
+    ["shadow", "--dir", "[1, 0]", "--beta", "[1, 0, 0]"], ["certify"],
+], ids=["moments", "lk", "variation", "shadow", "certify"])
+def test_floats_out_of_range_render_as_null(flags, exponent, tmp_path, capsys):
+    """Where no finite float holds a value, its float rendering is JSON
+    null (an empty CSV cell): no OverflowError, no NaN or Infinity."""
+    scale = F(10) ** exponent
+    vertices = [[str(scale * x) for x in v] for v in ((-1, -1), (2, -1), (-1, 2))]
+    (tmp_path / "t.json").write_text(json.dumps({"vertices": vertices}))
+    capsys.readouterr()
+    assert main(flags[:1] + [str(tmp_path / "t.json")] + flags[1:]) == 0
+    out = capsys.readouterr().out
+    if flags[0] == "shadow":
+        for line in out.splitlines()[1:]:
+            cells = line.split(",")
+            assert len(cells) == 5 and F(cells[3]) == F(1, 108)
+            assert all(c == "" or abs(float(c)) < float("inf") for c in cells[2::2])
+        return
+    report = _strict_json(out[out.index("{"):])
+    if flags[0] == "lk":
+        assert report["L_pow_2n"] == {"exact": "1/108", "float": 0.00925925925926}
+        assert None in report["isotropizing_map"][0]
+
+
+README = os.path.join(os.path.dirname(BODIES), "README.md")
+
+
+def _readme_commands():
+    with open(README) as fh:
+        return [shlex.split(line, comments=True)[1:] for line in fh
+                if line.startswith("isodecomp ")]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in _readme_commands()
+                                  if argv[-2:] != ["--out", "records.json"]],
+                         ids=lambda argv: argv[0])
+def test_readme_examples_run(argv, monkeypatch, capsys):
+    """Every `isodecomp` line of the README exits 0, but the 10,000-trial
+    search, which an acceptance criterion runs."""
+    monkeypatch.chdir(os.path.dirname(README))
+    assert main(argv) == 0

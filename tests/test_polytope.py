@@ -58,6 +58,42 @@ def test_validate_rejects_incidence_mismatch():
         validate(verts, facets)
 
 
+def _cuboctahedron():
+    return hull_facets([p for p in itertools.product((-1, 0, 1), repeat=3)
+                        if sorted(map(abs, p)) == [0, 1, 1]])
+
+
+def _open_facet_lists():
+    """Facet lists whose every vertex keeps n independent facets, so the
+    structure check passes, but which do not close up: each read wrong
+    exact values before the closure check (volume 7/6 for 4/3, 5/8 for
+    2/3, 5 for 4, and L^(2n) = 19/32000 for 3087/6250000)."""
+    octahedron, cross4, square, cubo = (support.cross_polytope(3), support.cross_polytope(4),
+                                        support.cube(2), _cuboctahedron())
+    first_square = next(f for f in cubo.facets if len(f.vertex_indices) == 4)
+    return [
+        (octahedron, octahedron.facets[1:]),
+        (cross4, cross4.facets[1:]),
+        (square, square.facets + square.facets[:1]),
+        (cubo, tuple(f for f in cubo.facets if f != first_square)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["octahedron-7-of-8", "cross4-15-of-16",
+                                                "square-facet-twice", "cuboctahedron-no-square"])
+def test_validate_rejects_facets_that_do_not_close(case):
+    body, facets = _open_facet_lists()[case]
+    assert validate(body.vertices, body.facets) == body
+    with pytest.raises(IncidenceMismatch, match="do not close up"):
+        validate(body.vertices, facets)
+
+
+@pytest.mark.parametrize("body", [support.cell24(), support.random_polytope(random.Random(1), 3, 20)],
+                         ids=["cell24", "random3"])
+def test_validate_accepts_closed_facet_lists(body):
+    assert validate(body.vertices, body.facets) == body
+
+
 def test_validate_rejects_flat_input():
     with pytest.raises(NotFullDimensional):
         hull_facets([(0, 0), (1, 1), (2, 2), (3, 3)])
