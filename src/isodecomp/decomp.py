@@ -287,27 +287,16 @@ def symmetry_analysis(p: Polytope, generators: Sequence, cap: int = 10_000) -> S
     perms = [_vertex_permutation(p, g) for g in gens]
     elements = _closure(gens, cap)
 
-    # V_G: symmetric matrices with U A = A U for all generators
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    # V_G: symmetric A = sum a_E E over the symmetric unit matrices E with
+    # U A = A U for every generator; U A - A U has column U E - E U in a_E
+    units = [Matrix.from_rows([[int({a, b} == {i, j}) for b in range(n)] for a in range(n)])
+             for i in range(n) for j in range(i, n)]
     rows = []
     for u in gens:
-        for r in range(n):
-            for c in range(n):
-                row = []
-                for (i, j) in pairs:
-                    # d/dA_{ij} of (U A - A U)_{rc} with A symmetric
-                    val = Fraction(0)
-                    if j == c:
-                        val += u.rows[r][i]
-                    if i == c and i != j:
-                        val += u.rows[r][j]
-                    if i == r:
-                        val -= u.rows[j][c]
-                    if j == r and i != j:
-                        val -= u.rows[i][c]
-                    row.append(val)
-                rows.append(row)
-    v_dim = len(kernel_basis(Matrix.from_rows(rows, len(pairs))))
+        columns = [[x - y for r, s in zip(u.matmul(e).rows, e.matmul(u).rows) for x, y in zip(r, s)]
+                   for e in units]
+        rows += zip(*columns)
+    v_dim = len(kernel_basis(Matrix.from_rows(rows, len(units))))
 
     # W_G: common fixed vectors of the generators
     wrows = []

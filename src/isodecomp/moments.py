@@ -1,11 +1,12 @@
 """Exact integration over polytopes and their facets, on integers.
 
 Every integral is a sum over simplices whose vertices are vertices of the
-polytope, plus the origin for body moments.  Facets are triangulated into
-(n-1)-simplices by pulling on P's own vertex-facet incidences: each face
-is coned from its smallest vertex index over the faces one dimension down
-that miss it.  Every integral here is a sum over any triangulation of the
-facet, so the choice of apex changes no value.
+polytope, plus the origin for body moments.  The facet simplices are the
+ones `validate` checks for closure (`polytope._facet_raw_table`): each
+face is pulled from its smallest vertex index over the faces one
+dimension down that miss it, read off P's vertex-facet incidences.  Every
+integral here is a sum over any triangulation of the facet, so the choice
+of apex changes no value.
 
 One table carries them all (`_cone_table`): with D the lcm of the vertex
 denominators and V = D v, each facet simplex S in <a, x> = b holds the
@@ -50,7 +51,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DegeneratePolytope, UnsupportedDegree
 from .exactnum import Matrix, Vec, _bareiss, _cleared, determinant, rat
-from .polytope import Polytope, _pulled_simplices
+from .polytope import Polytope, _facet_raw_table
 
 # sparse polynomial: exponent tuple (length n) -> rational coefficient
 Poly = dict[tuple[int, ...], Fraction]
@@ -131,19 +132,7 @@ def _partition_sum(factors: Sequence[Sequence[int]], idx: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# facet triangulation
-
-@lru_cache(maxsize=4096)
-def _facet_raw_table(p: Polytope, fi: int) -> tuple[tuple[int, ...], ...]:
-    """The (n-1)-simplices of facet fi pulled from P's incidences, as
-    indices of their vertices in P.
-
-    The facet is coned from its smallest vertex index (its
-    lexicographically smallest vertex, since vertices are sorted) over
-    the pulled triangulations of the ridges that miss it, and so on down
-    (`polytope._pulled_simplices`)."""
-    return tuple(_pulled_simplices(p, frozenset(p.facets[fi].vertex_indices), p.dim - 1))
-
+# facet simplices on cleared denominators
 
 @lru_cache(maxsize=256)
 def _cone_table(p: Polytope) -> tuple[int, tuple[tuple[int, ...], ...],

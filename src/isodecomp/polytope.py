@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -114,22 +115,17 @@ def _affine_rank(points: Sequence[Sequence]) -> int:
 
 
 def _subfaces(p: Polytope, face: frozenset[int], k: int) -> list[frozenset[int]]:
-    """The (k-1)-faces of a k-face of P, as sets of vertex indices.
+    """The (k-1)-faces of a k-face of P, as vertex-index sets in the order
+    of the first facet of P that cuts each out.
 
-    Every face of P is the intersection of the facets containing it, so
-    the facets of a face are exactly its intersections with P's facets
-    that have affine rank k-1.
+    Each intersection of the face with a facet of P is a face (every
+    listed facet passed the structure check), each (k-1)-face is one, and
+    every smaller face lies in one, so the (k-1)-faces are the
+    inclusion-maximal proper intersections with at least k vertices.
     """
-    seen: set[frozenset[int]] = set()
-    out = []
-    for f in p.facets:
-        sub = face.intersection(f.vertex_indices)
-        if len(sub) < k or sub in seen:
-            continue
-        seen.add(sub)
-        if _affine_rank([p.vertices[i] for i in sorted(sub)]) == k - 1:
-            out.append(sub)
-    return out
+    cuts = dict.fromkeys(face.intersection(f.vertex_indices) for f in p.facets)
+    subs = [sub for sub in cuts if len(sub) >= k and sub != face]
+    return [sub for sub in subs if not any(sub < other for other in subs)]
 
 
 def _pulled_simplices(p: Polytope, face: frozenset[int], k: int) -> list[tuple[int, ...]]:
@@ -143,16 +139,23 @@ def _pulled_simplices(p: Polytope, face: frozenset[int], k: int) -> list[tuple[i
             for s in _pulled_simplices(p, sub, k - 1)]
 
 
+@lru_cache(maxsize=4096)
+def _facet_raw_table(p: Polytope, fi: int) -> tuple[tuple[int, ...], ...]:
+    """The pulled (n-1)-simplices of facet fi as vertex-index tuples: the
+    one triangulation of the facet that the closure check and every
+    integral over it read."""
+    return tuple(_pulled_simplices(p, frozenset(p.facets[fi].vertex_indices), p.dim - 1))
+
+
 def _check_closed(body: Polytope) -> None:
     """The facets close up: pulling every facet with one vertex order
     triangulates the boundary consistently, so each (n-2)-face of a facet
     simplex lies in exactly two of them exactly when no facet is missing
     or listed twice."""
-    n = body.dim
     count: dict[tuple[int, ...], int] = {}
-    for f in body.facets:
-        for simplex in _pulled_simplices(body, frozenset(f.vertex_indices), n - 1):
-            for ridge in combinations(simplex, n - 1):
+    for fi in range(len(body.facets)):
+        for simplex in _facet_raw_table(body, fi):
+            for ridge in combinations(simplex, body.dim - 1):
                 count[ridge] = count.get(ridge, 0) + 1
     for ridge, c in count.items():
         if c != 2:
@@ -200,6 +203,8 @@ def validate(vertices: Sequence[Sequence], facets: Sequence[tuple | Facet]) -> P
         if bad:
             raise IncidenceMismatch("facet %d lists vertex indices %s outside 0..%d"
                                     % (k, bad, len(verts) - 1))
+        if len(set(idx)) != len(idx):
+            raise IncidenceMismatch("facet %d lists a vertex index twice: %s" % (k, list(idx)))
 
     body = _canonical(n, verts, raw)
     _check_structure(body)
@@ -294,13 +299,33 @@ def _hull_2d(points: list[Point]) -> Polytope:
     return _canonical(2, hull, facets)
 
 
-def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
-    """Convex hull by brute-force supporting-hyperplane enumeration.
+def hull_facets(points: Sequence[Sequence]) -> Polytope:
+    """Convex hull of rational points; interior points are dropped.
 
-    Every n-subset of points proposes a hyperplane; supporting ones whose
-    contact set is (n-1)-dimensional are facets.  O(m^(n+1)) is accepted:
-    exactness and simplicity dominate at desk scale (n <= 4, ~40 points).
-    Interior input points are silently dropped.
+    The line keeps its two extreme points, the plane runs the monotone
+    chain (`convex_hull_2d`), n >= 3 enumerates supporting hyperplanes
+    (`_hull_supporting`), and every hull passes `_check_structure`."""
+    pts = [vec(p) for p in points]
+    if not pts:
+        raise NotFullDimensional("no points")
+    n = len(pts[0])
+    if n < 1:
+        raise NotFullDimensional("dimension must be >= 1")
+    pts = sorted(set(pts))
+    if _affine_rank(pts) != n:
+        raise NotFullDimensional("points do not affinely span R^n")
+    body = _hull_1d(pts) if n == 1 else _hull_2d(pts) if n == 2 else _hull_supporting(pts)
+    _check_structure(body)
+    return body
+
+
+def _hull_supporting(pts: list[Point]) -> Polytope:
+    """Brute-force supporting-hyperplane enumeration, n >= 3.
+
+    An n-subset of the points with a nonzero normal is affinely independent
+    and spans its plane, so every supporting one is a facet.  O(m^(n+1)) is
+    accepted: exactness and simplicity dominate at desk scale (n <= 4, ~40
+    points).
 
     The enumeration runs over integers: the points are first scaled by
     the lcm d of their coordinate denominators, a homothety that keeps
@@ -313,20 +338,7 @@ def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
     the normal and offset the same enumeration finds in Fraction
     arithmetic, so the normalized facets are identical.
     """
-    pts = [vec(p) for p in points]
-    if not pts:
-        raise NotFullDimensional("no points")
     n = len(pts[0])
-    if n < 1:
-        raise NotFullDimensional("dimension must be >= 1")
-    pts = sorted(set(pts))
-    if _affine_rank(pts) != n:
-        raise NotFullDimensional("points do not affinely span R^n")
-    if n == 1:
-        return _hull_1d(pts)
-    if n == 2:
-        return _hull_2d(pts)
-
     d, ipts = _cleared(pts)
     supports: dict[tuple[int, ...], int] = {}
     for subset in combinations(range(len(ipts)), n):
@@ -359,8 +371,7 @@ def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
     for normal, offset in supports.items():
         incident = [i for i, p in enumerate(ipts)
                     if sum(a * b for a, b in zip(normal, p)) == offset]
-        if _affine_rank([ipts[i] for i in incident]) == n - 1:
-            facet_data.append((normal, Fraction(offset, d), incident))
+        facet_data.append((normal, Fraction(offset, d), incident))
 
     vertex_ids = []
     for i, p in enumerate(pts):
@@ -371,10 +382,7 @@ def hull_facets(points: Sequence[Sequence], check: bool = True) -> Polytope:
     verts = [pts[i] for i in vertex_ids]
     facets = [(normal, offset, tuple(keep[i] for i in inc if i in keep))
               for normal, offset, inc in facet_data]
-    body = _canonical(n, verts, facets)
-    if check:
-        _check_structure(body)
-    return body
+    return _canonical(n, verts, facets)
 
 
 def polar(p: Polytope) -> Polytope:
@@ -397,7 +405,7 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     if p.dim != q.dim:
         raise DimensionMismatch("summands live in different dimensions")
     sums = [tuple(a + b for a, b in zip(v, w)) for v in p.vertices for w in q.vertices]
-    return hull_facets(sums, check=False)
+    return hull_facets(sums)
 
 
 def gauge_value(p: Polytope, x: Sequence) -> Fraction:

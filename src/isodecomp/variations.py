@@ -466,7 +466,7 @@ def shadow_polytope(s: ShadowSystem, t: Fraction) -> Polytope:
     moved = [tuple(x + t * s.speeds[i] * u for x, u in zip(v, direction))
              for i, v in enumerate(s.base.vertices)]
     try:
-        return hull_facets(moved, check=False)
+        return hull_facets(moved)
     except NotFullDimensional as exc:
         raise Degenerate("shadow body degenerated at t = %s" % t) from exc
 
@@ -500,7 +500,7 @@ def rs_speed_space(p: Polytope, u: Sequence) -> int:
     def chart(x: Vec) -> Vec:
         return ginv.matvec(b.matvec(x))
 
-    shadow = hull_facets([chart(v) for v in p.vertices], check=False)
+    shadow = hull_facets([chart(v) for v in p.vertices])
 
     uu = dot(u, u)
     slice_points = [chart(v) for v in p.vertices if dot(u, v) == 0]
@@ -512,7 +512,7 @@ def rs_speed_space(p: Polytope, u: Sequence) -> int:
             point = tuple(a + lam * (c - a) for a, c in zip(vi, vj))
             slice_points.append(chart(point))
     try:
-        central = hull_facets(slice_points, check=False)
+        central = hull_facets(slice_points)
     except NotFullDimensional:
         raise CaseNotSupported("central slice is lower-dimensional in the chart")
     if central != shadow:

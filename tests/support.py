@@ -29,13 +29,17 @@ from isodecomp.moments import (
 )
 from isodecomp.polytope import (
     Polytope,
+    _affine_rank,
     _canonical,
     _hull_1d,
     _hull_2d,
     affine_image,
     convex_hull_2d,
     hull_facets,
+    minkowski_sum,
+    polar,
     translate,
+    validate,
 )
 from isodecomp.variations import (
     DEFAULT_FD_STEP,
@@ -284,6 +288,54 @@ def random_polytope(rng: random.Random, n: int, npts: int, bound: int = 4,
             return body
         c = body_moments(body).centroid()
         return translate(body, [-x for x in c])
+
+
+def cube_by_facets(n: int) -> Polytope:
+    """The cube [-1, 1]^n validated from its 2n facets x_i = +-1, without
+    the hull enumeration (2^n choose n subsets)."""
+    verts = list(product((-1, 1), repeat=n))
+    return validate(verts, [([s * (j == i) for j in range(n)], 1,
+                             [k for k, v in enumerate(verts) if v[i] == s])
+                            for i in range(n) for s in (-1, 1)])
+
+
+def face_walk_bodies() -> tuple[Polytope, ...]:
+    """51 bodies for the face-walk oracle: cubes and cross-polytopes in
+    2-5-D, the 24-cell, 15 seeded lattice clouds in 3-5-D (coordinates
+    bounded by 1 to 4, so some facets are not simplices), the hexagonal
+    prisms over a segment and a square, triangle x triangle, cube +
+    octahedron and the cuboctahedron, then the polars of those up to 4-D."""
+    rng = random.Random(61)
+    tri = triangle_origin().vertices
+    bodies = [cube(2), cube(3), cube4(), cube_by_facets(5)]
+    bodies += [cross_polytope(n) for n in (2, 3, 4, 5)]
+    bodies += [cell24()]
+    bodies += [random_polytope(rng, n, npts, bound) for n, npts in ((3, 11), (4, 9), (5, 9))
+               for bound in (1, 1, 2, 3, 4)]
+    bodies += [hexagonal_prism(),
+               hull_facets([v + (z,) for v in hexagonal_prism().vertices for z in (-1, 1)]),
+               hull_facets([a + b for a in tri for b in tri]),
+               minkowski_sum(cube(3), cross_polytope(3)),
+               hull_facets([p for p in product((-1, 0, 1), repeat=3)
+                            if sorted(map(abs, p)) == [0, 1, 1]])]
+    return tuple(bodies + [polar(b) for b in bodies if b.dim <= 4])
+
+
+def subfaces_by_rank(p: Polytope, face: frozenset[int], k: int) -> list[frozenset[int]]:
+    """Test oracle for polytope._subfaces: every face of P is the
+    intersection of the facets containing it, so the (k-1)-faces of a
+    k-face are its intersections with P's facets of affine rank k-1, in
+    the order of the first facet that cuts each out."""
+    seen: set[frozenset[int]] = set()
+    out = []
+    for f in p.facets:
+        sub = face.intersection(f.vertex_indices)
+        if len(sub) < k or sub in seen:
+            continue
+        seen.add(sub)
+        if _affine_rank([p.vertices[i] for i in sorted(sub)]) == k - 1:
+            out.append(sub)
+    return out
 
 
 def _maximal_minors(rows, n: int):
@@ -541,7 +593,7 @@ def _triangulate_convex_points(points: Sequence[Point]) -> list[Simplex]:
         return ginv.matvec(b.matvec(vsub(p, base)))
 
     back = {chart(p): p for p in pts}
-    body = hull_facets(list(back.keys()), check=False)
+    body = hull_facets(list(back.keys()))
     apex = chart(base)
     simplices: list[Simplex] = []
     for f in body.facets:

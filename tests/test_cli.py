@@ -186,8 +186,13 @@ TRIANGLE_JSON = [["0", "0"], ["1", "0"], ["0", "1"]]
     {"dim": True, "vertices": TRIANGLE_JSON},
     {"vertices": TRIANGLE_JSON, "facets": [{"normal": [0, 0], "offset": 0, "vertices": [0]}]},
     {"vertices": [[True, 0], [0, True], [0, 0]]},
+    {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]],
+     "facets": [{"normal": ["0", "-1"], "offset": "0", "vertices": [0, 0, 1]},
+                {"normal": ["1", "0"], "offset": "1", "vertices": [1, 2]},
+                {"normal": ["0", "1"], "offset": "1", "vertices": [2, 3]},
+                {"normal": ["-1", "0"], "offset": "0", "vertices": [3, 0]}]},
 ], ids=["float", "letter", "no-vertices", "facet-index-out-of-range", "dim-string", "dim-bool",
-        "facet-normal-zero", "vertex-bool"])
+        "facet-normal-zero", "vertex-bool", "facet-index-twice"])
 def test_malformed_body_exits_2(data, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(data))
     code, err = run_cli(["lk", "bad.json"], tmp_path)

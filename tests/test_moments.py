@@ -6,7 +6,7 @@ from math import factorial, sqrt
 import pytest
 
 import support
-from isodecomp import moments
+from isodecomp import moments, polytope
 from isodecomp.decomp import facewise_affine_space
 from isodecomp.errors import UnsupportedDegree
 from isodecomp.exactnum import Matrix, determinant, vsub
@@ -20,7 +20,7 @@ from isodecomp.moments import (
     poly_const,
     poly_norm2,
 )
-from isodecomp.polytope import affine_image, hull_facets, scale, translate
+from isodecomp.polytope import affine_image, hull_facets, scale, translate, validate
 from isodecomp.variations import eps_bound
 
 UNIT_SIMPLEX_2D = [(0, 0), (1, 0), (0, 1)]
@@ -101,6 +101,20 @@ def test_facet_simplices_tile_each_facet(square, cube3, octahedron, hexagon):
                 assert set(idx) <= set(f.vertex_indices), (body, fi, idx)
             chart = support._triangulate_convex_points([body.vertices[i] for i in f.vertex_indices])
             assert sum(measures) == sum(measure(s, f.normal) for s in chart), (body, fi)
+
+
+def test_validated_body_is_pulled_once():
+    """validate's closure check and the moments read one facet table: the
+    moments after validating miss it for no facet."""
+    for cache in (moments._facet_raw_table, moments._cone_table, moments.body_moments):
+        cache.cache_clear()
+    cell = support.cell24()
+    body = validate(cell.vertices, cell.facets)
+    assert moments._facet_raw_table.cache_info().misses == len(body.facets)
+    moments.body_moments(body)
+    info = moments._facet_raw_table.cache_info()
+    assert (info.misses, info.hits) == (len(body.facets), len(body.facets))
+    assert moments._facet_raw_table is polytope._facet_raw_table
 
 
 def test_body_moments_match_reference(square, cube3, octahedron, hexagon, triangle_o,

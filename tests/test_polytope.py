@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import support
+from isodecomp import polytope
 from isodecomp.errors import (
     DimensionMismatch,
     IncidenceMismatch,
@@ -31,6 +32,7 @@ from isodecomp.polytope import (
     translate,
     validate,
 )
+from isodecomp.variations import ShadowSystem, rs_speed_space, shadow_polytope
 
 
 def test_validate_square(square):
@@ -358,20 +360,68 @@ HULL_ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(HULL_ORACLE_CASES))
 def test_hull_matches_fraction_oracle(case):
     """hull_facets equals the Fraction enumeration it replaced, body for body
-    or exception type for exception type, with and without the structure
-    check.  The oracle's check=True is its check=False body passed through
-    _check_structure, so the enumeration runs once per case."""
+    or exception type for exception type.  The oracle's check=True is its
+    check=False body passed through _check_structure, so the enumeration
+    runs once per case."""
     pts = HULL_ORACLE_CASES[case]()
     try:
         expected = support.hull_facets_by_fractions(pts, check=False)
         support.check_structure_by_fractions(expected)
     except ValidationError as exc:
-        for check in (False, True):
-            with pytest.raises(type(exc)):
-                hull_facets(pts, check=check)
+        with pytest.raises(type(exc)):
+            hull_facets(pts)
         return
-    for check in (False, True):
-        assert hull_facets(pts, check=check) == expected
+    assert hull_facets(pts) == expected
+
+
+def test_every_hull_is_checked(monkeypatch, square, octahedron):
+    """Each hull reaches the structure check once, in every dimension and
+    behind every caller that builds one."""
+    calls = []
+    check = polytope._check_structure
+
+    def counted(body):
+        calls.append(body)
+        check(body)
+
+    monkeypatch.setattr(polytope, "_check_structure", counted)
+    system = ShadowSystem(square, (F(0), F(1)), (F(1), F(0), F(0), F(-1)), (F(-1), F(1)))
+    cases = {
+        "1-D": (lambda: hull_facets([(F(-1),), (F(2),), (F(0),)]), 1),
+        "2-D": (lambda: hull_facets([(0, 0), (1, 0), (0, 1), (F(1, 4), F(1, 4))]), 1),
+        "3-D": (lambda: hull_facets(list(itertools.product((0, 1), repeat=3))), 1),
+        "minkowski_sum": (lambda: minkowski_sum(square, square), 1),
+        "shadow_polytope": (lambda: shadow_polytope(system, F(1, 2)), 1),
+        "rs_speed_space": (lambda: rs_speed_space(octahedron, (0, 0, 1)), 2),
+    }
+    for name, (build, count) in cases.items():
+        calls.clear()
+        build()
+        assert len(calls) == count, name
+
+
+def test_validate_rejects_a_repeated_vertex_index(square):
+    """A facet that names a vertex twice is a malformed incidence list:
+    its dependence rows would count the vertex twice."""
+    facets = [(f.normal, f.offset, f.vertex_indices) for f in square.facets]
+    normal, offset, idx = facets[0]
+    with pytest.raises(IncidenceMismatch, match="facet 0 lists a vertex index twice"):
+        validate(square.vertices, [(normal, offset, idx[:1] + idx)] + facets[1:])
+
+
+def test_subfaces_match_the_rank_oracle():
+    """The incidence walk finds the faces the affine-rank test finds, face
+    by face and in the same order, from the facets down to the vertices."""
+    for body in support.face_walk_bodies():
+        faces = [frozenset(f.vertex_indices) for f in body.facets]
+        for k in range(body.dim - 1, 0, -1):
+            found = []
+            for face in faces:
+                subs = _subfaces(body, face, k)
+                assert subs == support.subfaces_by_rank(body, face, k), (body, face)
+                found += subs
+            faces = list(dict.fromkeys(found))
+        assert sorted(faces, key=min) == [frozenset([i]) for i in range(len(body.vertices))]
 
 
 def _broken_bodies(body):
